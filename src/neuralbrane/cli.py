@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import run_classification_eval, run_clustering_eval, project_2d
-from .graph import GraphFormatError, load_graph
+from .graph import GraphFormatError, load_graph, read_labels
 from .model import embed_all, load_checkpoint, save_checkpoint
 from .sampler import SamplingError
 from .serialize import (
@@ -208,18 +208,7 @@ def cmd_embed(args) -> int:
 
 def _load_labels_for(table: EmbeddingTable, label_file: str) -> np.ndarray:
     """Labels aligned with the embedding table's rows; -1 where unknown."""
-    mapping: dict[int, int] = {}
-    with open(label_file, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            toks = stripped.split()
-            if len(toks) != 2:
-                raise GraphFormatError(
-                    f"{label_file}:{lineno}: expected '<node-id> <class-id>'"
-                )
-            mapping[int(toks[0])] = int(toks[1])
+    mapping = read_labels(label_file)
     return np.array([mapping.get(int(i), -1) for i in table.ids], dtype=np.int64)
 
 

@@ -30,7 +30,6 @@ class EvalReport:
     macro_f1_mean: tuple[float, ...] = ()
     macro_f1_std: tuple[float, ...] = ()
     macro_f1_runs: tuple[tuple[float, ...], ...] = ()
-    per_class_f1: tuple[np.ndarray, ...] = ()
     nmi_mean: float | None = None
     nmi_std: float | None = None
     purity_mean: float | None = None
@@ -92,21 +91,32 @@ def split_train_test(labels: np.ndarray, ratio: float, seed=0):
     raise ValueError("could not draw a split covering every class in train")
 
 
+def _design(features: np.ndarray, targets: np.ndarray, num_classes: int):
+    """Bias-augmented features and one-hot targets."""
+    n = features.shape[0]
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), targets] = 1.0
+    return np.hstack([features, np.ones((n, 1))]), onehot
+
+
 def softmax_cross_entropy(weights: np.ndarray, features: np.ndarray,
                           targets: np.ndarray, num_classes: int,
                           penalty: float = LOGREG_PENALTY):
     """Mean cross-entropy of a bias-augmented softmax classifier plus an L2
     penalty on the non-bias weights; returns (loss, gradient)."""
-    n = features.shape[0]
-    augmented = np.hstack([features, np.ones((n, 1))])
+    augmented, onehot = _design(features, targets, num_classes)
+    return _cross_entropy(weights, augmented, onehot, targets, penalty)
+
+
+def _cross_entropy(weights, augmented, onehot, targets, penalty):
+    """softmax_cross_entropy on bias-augmented features and one-hot targets."""
+    n = augmented.shape[0]
     logits = augmented @ weights.T
     logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     probs = exp / exp.sum(axis=1, keepdims=True)
     picked = probs[np.arange(n), targets]
     loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), targets] = 1.0
     grad = (probs - onehot).T @ augmented / n
     if penalty:
         loss += penalty * float(np.sum(weights[:, :-1] ** 2))
@@ -127,10 +137,10 @@ def train_linear_classifier(features: np.ndarray, targets: np.ndarray,
     present = np.unique(targets)
     if len(present) < 2:
         raise ValueError("training set must contain at least two classes")
+    augmented, onehot = _design(features, targets, num_classes)
     weights = np.zeros((num_classes, features.shape[1] + 1))
     for _ in range(iterations):
-        loss, grad = softmax_cross_entropy(weights, features, targets,
-                                           num_classes, penalty)
+        loss, grad = _cross_entropy(weights, augmented, onehot, targets, penalty)
         if not np.isfinite(loss):
             raise RuntimeError("classifier loss went non-finite")
         weights -= learning_rate * grad
@@ -167,19 +177,17 @@ def within_cluster_ss(points: np.ndarray, assignment: np.ndarray) -> float:
     return total
 
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(points ** 2, axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + np.sum(centers ** 2, axis=1)[None, :]
-    )
+def _squared_distances(points: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances from each point to each center; ``norms`` holds the
+    points' squared norms."""
+    d2 = norms[:, None] - 2.0 * points @ centers.T + np.sum(centers ** 2, axis=1)[None, :]
     return np.maximum(d2, 0.0)
 
 
-def _kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:
+def _kmeans_plus_plus(points: np.ndarray, norms: np.ndarray, k: int, rng) -> np.ndarray:
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(points.shape[0]))]
-    closest = _squared_distances(points, centers[:1]).ravel()
+    closest = _squared_distances(points, norms, centers[:1]).ravel()
     for c in range(1, k):
         total = closest.sum()
         if total <= 0:  # all points coincide with chosen centers
@@ -187,7 +195,7 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng) -> np.ndarray:
             continue
         idx = int(rng.choice(points.shape[0], p=closest / total))
         centers[c] = points[idx]
-        closest = np.minimum(closest, _squared_distances(points, centers[c:c + 1]).ravel())
+        closest = np.minimum(closest, _squared_distances(points, norms, centers[c:c + 1]).ravel())
     return centers
 
 
@@ -200,13 +208,14 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed=0,
     if k < 1 or k > points.shape[0]:
         raise ValueError("k must be between 1 and the number of points")
     rng = np.random.default_rng(seed)
+    norms = np.sum(points ** 2, axis=1)
     best_assignment = None
     best_wcss = np.inf
     for _ in range(restarts):
-        centers = _kmeans_plus_plus(points, k, rng)
+        centers = _kmeans_plus_plus(points, norms, k, rng)
         assignment = np.full(points.shape[0], -1)
         for _ in range(max_iter):
-            d2 = _squared_distances(points, centers)
+            d2 = _squared_distances(points, norms, centers)
             new_assignment = np.argmin(d2, axis=1)
             for c in range(k):
                 members = new_assignment == c
@@ -318,10 +327,9 @@ def run_classification_eval(features: np.ndarray, labels: np.ndarray,
     """
     labels = np.asarray(labels)
     num_classes = int(labels.max()) + 1
-    means, stds, runs_per_ratio, per_class = [], [], [], []
+    means, stds, runs_per_ratio = [], [], []
     for r_idx, ratio in enumerate(ratios):
         scores = []
-        class_f1 = np.zeros(num_classes)
         for rep in range(repeats):
             split_seed = np.random.SeedSequence((seed, r_idx, rep))
             train_idx, test_idx = split_train_test(labels, ratio, seed=split_seed)
@@ -329,23 +337,15 @@ def run_classification_eval(features: np.ndarray, labels: np.ndarray,
                                               num_classes)
             predicted = predict_linear(weights, features[test_idx])
             scores.append(macro_f1(labels[test_idx], predicted, num_classes))
-            for c in range(num_classes):
-                tp = np.sum((predicted == c) & (labels[test_idx] == c))
-                fp = np.sum((predicted == c) & (labels[test_idx] != c))
-                fn = np.sum((predicted != c) & (labels[test_idx] == c))
-                denom = 2 * tp + fp + fn
-                class_f1[c] += 2 * tp / denom if denom > 0 else 0.0
         means.append(float(np.mean(scores)))
         stds.append(float(np.std(scores)))
         runs_per_ratio.append(tuple(scores))
-        per_class.append(class_f1 / repeats)
     return EvalReport(
         runs=repeats,
         train_ratios=tuple(ratios),
         macro_f1_mean=tuple(means),
         macro_f1_std=tuple(stds),
         macro_f1_runs=tuple(runs_per_ratio),
-        per_class_f1=tuple(per_class),
     )
 
 

@@ -77,10 +77,6 @@ class AttributedGraph:
             raise KeyError(f"no edge ({u}, {v})")
         return float(self.weights[u][pos])
 
-    def adjacency(self, u: int) -> list[tuple[int, float]]:
-        """u's incident edges as (neighbor-id, weight) pairs, sorted by id."""
-        return list(zip(self.neighbors[u].tolist(), self.weights[u].tolist()))
-
     def labeled_nodes(self) -> np.ndarray:
         if self.labels is None:
             return _EMPTY_IDS
@@ -140,6 +136,31 @@ def _parse_id(token: str, path: Path, lineno: int, kind: str) -> int:
     if value < 0:
         raise GraphFormatError(f"{path}:{lineno}: {kind} id {value} is negative")
     return value
+
+
+def read_labels(label_path, node_count: int | None = None) -> dict[int, int]:
+    """Parse a label file into {node-id: class-id}; GraphFormatError with the
+    file and line for a malformed line, a bad id, a node given two classes,
+    or a node id at or past an explicitly declared ``node_count``."""
+    label_path = Path(label_path)
+    label_map: dict[int, int] = {}
+    for lineno, toks in _tokens(label_path):
+        if len(toks) != 2:
+            raise GraphFormatError(
+                f"{label_path}:{lineno}: expected '<node-id> <class-id>', got {len(toks)} fields"
+            )
+        u = _parse_id(toks[0], label_path, lineno, "node")
+        c = _parse_id(toks[1], label_path, lineno, "class")
+        if node_count is not None and u >= node_count:
+            raise GraphFormatError(
+                f"{label_path}:{lineno}: node id {u} exceeds declared node count {node_count}"
+            )
+        if u in label_map and label_map[u] != c:
+            raise GraphFormatError(
+                f"{label_path}:{lineno}: node {u} relabeled from {label_map[u]} to {c}"
+            )
+        label_map[u] = c
+    return label_map
 
 
 def load_graph(
@@ -219,26 +240,8 @@ def load_graph(
             max_attr = max(max_attr, a)
             row.add(a)
 
-    label_map: dict[int, int] = {}
-    if label_path is not None:
-        label_path = Path(label_path)
-        for lineno, toks in _tokens(label_path):
-            if len(toks) != 2:
-                raise GraphFormatError(
-                    f"{label_path}:{lineno}: expected '<node-id> <class-id>', got {len(toks)} fields"
-                )
-            u = _parse_id(toks[0], label_path, lineno, "node")
-            c = _parse_id(toks[1], label_path, lineno, "class")
-            if node_count is not None and u >= node_count:
-                raise GraphFormatError(
-                    f"{label_path}:{lineno}: node id {u} exceeds declared node count {node_count}"
-                )
-            if u in label_map and label_map[u] != c:
-                raise GraphFormatError(
-                    f"{label_path}:{lineno}: node {u} relabeled from {label_map[u]} to {c}"
-                )
-            max_node = max(max_node, u)
-            label_map[u] = c
+    label_map = read_labels(label_path, node_count) if label_path is not None else {}
+    max_node = max(max_node, max(label_map, default=-1))
 
     n = node_count if node_count is not None else max_node + 1
     m = attribute_count if attribute_count is not None else max_attr + 1

@@ -5,7 +5,8 @@ over the parameters the triplet actually touches: the attribute and neighbor
 embedding rows looked up by any of the three forward passes, and W and b.
 Gradients are computed by hand through the dot-product margin, the ReLU
 hidden layer, the concatenation, and the pooling (routed to the recorded
-argmax rows for max pooling, broadcast to all rows for sum pooling).
+argmax rows for max pooling, broadcast to all rows for sum pooling); each
+mini-batch sums them once into a block of rows per embedding matrix.
 
 One epoch processes as many triplets as the graph has undirected edges,
 resampled every epoch; gradients are averaged per batch by default so the
@@ -17,22 +18,19 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .graph import AttributedGraph
-from .model import (
-    ForwardTrace,
-    ModelParameters,
-    POOLING_MODES,
-    forward,
-    init_parameters,
-    sigmoid,
-)
+from .model import POOLING_MODES, ModelParameters, forward, init_parameters, sigmoid
 from .sampler import Triplet, TripletSampler
 
 log = logging.getLogger(__name__)
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -71,50 +69,77 @@ class TrainConfig:
 
 @dataclass
 class GradientSet:
-    """Sparse row gradients for the embedding matrices, dense for W and b."""
+    """Gradients for a batch: one block of rows per embedding matrix over the
+    sorted rows the batch looked up (``attr_ids`` into P, ``nbr_ids`` into
+    P_prime), dense for W and b.  ``attr_rows`` / ``nbr_rows`` view the
+    blocks as read-only row id -> gradient row mappings."""
 
-    attr_rows: dict[int, np.ndarray]
-    nbr_rows: dict[int, np.ndarray]
+    attr_ids: np.ndarray
+    attr_grad: np.ndarray
+    nbr_ids: np.ndarray
+    nbr_grad: np.ndarray
     w_grad: np.ndarray
     b_grad: np.ndarray
 
     @classmethod
     def zeros(cls, params: ModelParameters) -> "GradientSet":
         return cls(
-            attr_rows={},
-            nbr_rows={},
-            w_grad=np.zeros_like(params.W),
-            b_grad=np.zeros_like(params.b),
+            attr_ids=_NO_ROWS, attr_grad=np.zeros((0, params.d1)),
+            nbr_ids=_NO_ROWS, nbr_grad=np.zeros((0, params.d2)),
+            w_grad=np.zeros_like(params.W), b_grad=np.zeros_like(params.b),
         )
 
-    def _bump(self, table: dict[int, np.ndarray], row: int, value: np.ndarray) -> None:
-        current = table.get(row)
-        if current is None:
-            table[row] = value.copy()
-        else:
-            current += value
+    @property
+    def attr_rows(self) -> Mapping[int, np.ndarray]:
+        return MappingProxyType(dict(zip(self.attr_ids.tolist(), self.attr_grad)))
 
-    def add_attr(self, row: int, value: np.ndarray) -> None:
-        self._bump(self.attr_rows, row, value)
+    @property
+    def nbr_rows(self) -> Mapping[int, np.ndarray]:
+        return MappingProxyType(dict(zip(self.nbr_ids.tolist(), self.nbr_grad)))
 
-    def add_nbr(self, row: int, value: np.ndarray) -> None:
-        self._bump(self.nbr_rows, row, value)
+    def _blocks(self) -> tuple[np.ndarray, ...]:
+        return self.attr_grad, self.nbr_grad, self.w_grad, self.b_grad
 
     def scale(self, factor: float) -> None:
-        for table in (self.attr_rows, self.nbr_rows):
-            for value in table.values():
-                value *= factor
-        self.w_grad *= factor
-        self.b_grad *= factor
+        for block in self._blocks():
+            block *= factor
 
     def all_finite(self) -> bool:
-        if not (np.all(np.isfinite(self.w_grad)) and np.all(np.isfinite(self.b_grad))):
-            return False
-        for table in (self.attr_rows, self.nbr_rows):
-            for value in table.values():
-                if not np.all(np.isfinite(value)):
-                    return False
-        return True
+        return all(np.isfinite(block).all() for block in self._blocks())
+
+
+class _Lookups:
+    """One embedding matrix's gradient entries over a batch, summed into a
+    block of rows when the batch is done."""
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.touched = [_NO_ROWS]  # each triplet's distinct looked-up rows
+        self.targets = [_NO_ROWS]  # row of each entry; its column is position % width
+        self.parts = [np.empty(0)]
+
+    def route(self, rows: np.ndarray, winners: np.ndarray, part: np.ndarray) -> None:
+        """Push the gradient of a pooled vector back to the rows it pooled."""
+        if len(winners):  # max pooling: each column to its winning row
+            self.targets.append(rows[winners])
+            self.parts.append(part)
+        elif len(rows):  # sum pooling broadcasts; an empty lookup pooled to zero
+            self.targets.append(np.repeat(rows, self.width))
+            self.parts.append(np.tile(part, len(rows)))
+
+    def reduce(self, matrix: np.ndarray, reg: float) -> tuple[np.ndarray, np.ndarray]:
+        """The touched rows and their summed gradients: each row's L2
+        gradient once for every triplet that looked it up, then the entries
+        in lookup order."""
+        ids, counts = np.unique(np.concatenate(self.touched), return_counts=True)
+        block = matrix[ids]
+        block *= (2.0 * reg * counts)[:, None]  # zero when reg is 0
+        local = np.empty(len(matrix), dtype=np.intp)
+        local[ids] = np.arange(len(ids))
+        targets = local[np.concatenate(self.targets)]
+        flat = targets * self.width + np.arange(len(targets)) % self.width
+        np.add.at(block.reshape(-1), flat, np.concatenate(self.parts))
+        return ids, block
 
 
 @dataclass
@@ -149,24 +174,6 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def _touched_rows(traces) -> tuple[np.ndarray, np.ndarray]:
-    """Union of attribute and neighbor rows looked up by the given traces."""
-    attr = np.unique(np.concatenate([t.attr_rows for t in traces]))
-    nbr = np.unique(np.concatenate([t.nbr_rows for t in traces]))
-    return attr, nbr
-
-
-def _regularization(params: ModelParameters, attr_rows, nbr_rows, reg: float) -> float:
-    if reg == 0.0:
-        return 0.0
-    total = float(np.sum(params.W ** 2)) + float(np.sum(params.b ** 2))
-    if len(attr_rows):
-        total += float(np.sum(params.P[attr_rows] ** 2))
-    if len(nbr_rows):
-        total += float(np.sum(params.P_prime[nbr_rows] ** 2))
-    return reg * total
-
-
 def _forward_triplet(params, g, t: Triplet, pooling: str):
     tr_u = forward(params, g, t.u, pooling)
     tr_i = forward(params, g, t.i, pooling)
@@ -175,84 +182,75 @@ def _forward_triplet(params, g, t: Triplet, pooling: str):
     return tr_u, tr_i, tr_j, margin
 
 
+def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
+                    reg: float = 0.0, pooling: str = "max"):
+    """Exact gradients of the summed losses of a batch of triplets.
+
+    Returns the GradientSet and each triplet's (ranking loss, L2 term) in
+    batch order.  A row looked up by k triplets carries k times its L2
+    gradient; W and b carry it once per triplet.
+    """
+    attr, nbr = _Lookups(params.d1), _Lookups(params.d2)
+    w_grad = np.zeros_like(params.W)
+    b_grad = np.zeros_like(params.b)
+    losses = []
+    dense_l2 = float(np.sum(params.W ** 2)) + float(np.sum(params.b ** 2))
+    for t in batch:
+        tr_u, tr_i, tr_j, margin = _forward_triplet(params, g, t, pooling)
+        delta = sigmoid(margin) - 1.0  # d/d(margin) of -ln sigmoid(margin)
+        grads_h = ((tr_u, delta * (tr_i.h_vec - tr_j.h_vec)),
+                   (tr_i, delta * tr_u.h_vec),
+                   (tr_j, -delta * tr_u.h_vec))
+        for trace, grad_h in grads_h:
+            masked = np.where(trace.pre_activation > 0.0, grad_h, 0.0)
+            w_grad += np.outer(masked, trace.f)
+            b_grad += masked
+            grad_f = params.W.T @ masked  # split at the concat seam below
+            attr.route(trace.attr_rows, trace.attr_argmax, grad_f[:params.d1])
+            nbr.route(trace.nbr_rows, trace.nbr_argmax, grad_f[params.d1:])
+        attr_rows = np.unique(np.concatenate([tr.attr_rows for tr in (tr_u, tr_i, tr_j)]))
+        nbr_rows = np.unique(np.concatenate([tr.nbr_rows for tr in (tr_u, tr_i, tr_j)]))
+        attr.touched.append(attr_rows)
+        nbr.touched.append(nbr_rows)
+        l2 = 0.0
+        if reg != 0.0:
+            l2 = reg * (dense_l2 + float(np.sum(params.P[attr_rows] ** 2))
+                        + float(np.sum(params.P_prime[nbr_rows] ** 2)))
+        losses.append((_softplus(-margin), l2))
+
+    w_grad += 2.0 * reg * len(batch) * params.W
+    b_grad += 2.0 * reg * len(batch) * params.b
+    attr_ids, attr_grad = attr.reduce(params.P, reg)
+    nbr_ids, nbr_grad = nbr.reduce(params.P_prime, reg)
+    return GradientSet(attr_ids, attr_grad, nbr_ids, nbr_grad, w_grad, b_grad), losses
+
+
 def triplet_loss(params: ModelParameters, g: AttributedGraph, t: Triplet,
                  reg: float = 0.0, pooling: str = "max") -> float:
     """-ln sigmoid(margin) plus the L2 term over touched rows, W, and b."""
-    tr_u, tr_i, tr_j, margin = _forward_triplet(params, g, t, pooling)
-    attr_rows, nbr_rows = _touched_rows((tr_u, tr_i, tr_j))
-    return _softplus(-margin) + _regularization(params, attr_rows, nbr_rows, reg)
-
-
-def _route_pooled_gradient(gs: GradientSet, trace: ForwardTrace, grad_f: np.ndarray,
-                           d1: int) -> None:
-    """Split a d-length gradient at the concat seam and push it through pooling."""
-    attr_part, nbr_part = grad_f[:d1], grad_f[d1:]
-    for rows, winners, part, bump in (
-        (trace.attr_rows, trace.attr_argmax, attr_part, gs.add_attr),
-        (trace.nbr_rows, trace.nbr_argmax, nbr_part, gs.add_nbr),
-    ):
-        if len(rows) == 0:
-            continue  # empty lookup pooled to zero; nothing differentiable
-        if trace.pooling == "max":
-            routed = np.zeros((len(rows), len(part)))
-            routed[winners, np.arange(len(part))] = part
-            for local, row in enumerate(rows):
-                bump(int(row), routed[local])
-        else:  # sum pooling broadcasts
-            for row in rows:
-                bump(int(row), part)
+    (bpr, l2), = batch_gradients(params, g, (t,), reg, pooling)[1]
+    return bpr + l2
 
 
 def triplet_gradients(params: ModelParameters, g: AttributedGraph, t: Triplet,
                       reg: float = 0.0, pooling: str = "max") -> GradientSet:
     """Exact gradients of triplet_loss for every parameter the triplet touches."""
-    gs = GradientSet.zeros(params)
-    _accumulate_triplet(gs, params, g, t, reg, pooling)
-    return gs
-
-
-def _accumulate_triplet(gs: GradientSet, params: ModelParameters, g: AttributedGraph,
-                        t: Triplet, reg: float, pooling: str) -> tuple[float, float]:
-    """Add one triplet's gradients into gs; returns (bpr_loss, reg_loss)."""
-    tr_u, tr_i, tr_j, margin = _forward_triplet(params, g, t, pooling)
-    delta = sigmoid(margin) - 1.0  # d/d(margin) of -ln sigmoid(margin)
-
-    grads_h = (
-        (tr_u, delta * (tr_i.h_vec - tr_j.h_vec)),
-        (tr_i, delta * tr_u.h_vec),
-        (tr_j, -delta * tr_u.h_vec),
-    )
-    for trace, grad_h in grads_h:
-        masked = np.where(trace.pre_activation > 0.0, grad_h, 0.0)
-        gs.w_grad += np.outer(masked, trace.f)
-        gs.b_grad += masked
-        _route_pooled_gradient(gs, trace, params.W.T @ masked, params.d1)
-
-    attr_rows, nbr_rows = _touched_rows((tr_u, tr_i, tr_j))
-    if reg != 0.0:
-        two_reg = 2.0 * reg
-        for row in attr_rows:
-            gs.add_attr(int(row), two_reg * params.P[row])
-        for row in nbr_rows:
-            gs.add_nbr(int(row), two_reg * params.P_prime[row])
-        gs.w_grad += two_reg * params.W
-        gs.b_grad += two_reg * params.b
-
-    return _softplus(-margin), _regularization(params, attr_rows, nbr_rows, reg)
+    return batch_gradients(params, g, (t,), reg, pooling)[0]
 
 
 def apply_update(params: ModelParameters, grads: GradientSet, learning_rate: float) -> None:
-    """One SGD step in place; rejects non-finite gradients."""
+    """One SGD step in place; rejects non-finite gradients.  The step is
+    formed in ``grads`` itself, so no block-sized temporary is allocated and
+    ``grads`` is spent."""
     if not grads.all_finite():
         raise TrainingDivergedError(
             "non-finite gradient encountered; lower the learning rate or check inputs"
         )
-    for row, value in grads.attr_rows.items():
-        params.P[row] -= learning_rate * value
-    for row, value in grads.nbr_rows.items():
-        params.P_prime[row] -= learning_rate * value
-    params.W -= learning_rate * grads.w_grad
-    params.b -= learning_rate * grads.b_grad
+    grads.scale(learning_rate)
+    np.subtract.at(params.P, grads.attr_ids, grads.attr_grad)
+    np.subtract.at(params.P_prime, grads.nbr_ids, grads.nbr_grad)
+    params.W -= grads.w_grad
+    params.b -= grads.b_grad
 
 
 def train(g: AttributedGraph, cfg: TrainConfig) -> tuple[ModelParameters, TrainLog]:
@@ -282,14 +280,14 @@ def train(g: AttributedGraph, cfg: TrainConfig) -> tuple[ModelParameters, TrainL
         while remaining > 0:
             batch = sampler.sample_batch(min(cfg.batch_size, remaining))
             remaining -= len(batch)
-            grads = GradientSet.zeros(params)
-            for t in batch:
-                bpr, reg_term = _accumulate_triplet(grads, params, g, t, cfg.reg, cfg.pooling)
+            grads, losses = batch_gradients(params, g, batch, cfg.reg, cfg.pooling)
+            for bpr, reg_term in losses:
                 epoch_bpr += bpr
                 epoch_reg += reg_term
             if cfg.grad_agg == "mean":
                 grads.scale(1.0 / len(batch))
             apply_update(params, grads, cfg.learning_rate)
+            del grads  # spent; free its blocks before the next batch builds its own
 
         total = epoch_bpr + epoch_reg
         if not math.isfinite(total):

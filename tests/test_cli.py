@@ -177,6 +177,29 @@ class TestEvaluateCommand:
         assert code == 0
         assert "macro-F1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad_line, problem", [
+        ("0 1", "relabeled from 0 to 1"),
+        ("2 -3", "class id -3 is negative"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--task", "classify"],
+        ["evaluate", "--task", "project"],
+        ["project"],
+    ])
+    def test_bad_label_file_is_user_error(self, trained, tmp_path, capsys, command,
+                                          bad_line, problem):
+        # the label file's third line relabels node 0 or gives a negative class;
+        # train --label-file rejects the same file, so evaluate must as well
+        emb, _ = trained
+        labels = tmp_path / "bad_labels.txt"
+        labels.write_text(f"0 0\n1 0\n{bad_line}\n3 1\n")
+        code = main([*command, "--embeddings", str(emb), "--labels", str(labels),
+                     "--out", str(tmp_path / "proj.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{labels}:3:" in err
+        assert problem in err
+
     def test_evaluate_determinism(self, trained, tmp_path, capsys):
         emb, labels = trained
         r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

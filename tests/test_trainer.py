@@ -1,17 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from neuralbrane.model import forward, init_parameters
 from neuralbrane.sampler import Triplet, TripletSampler
-from neuralbrane.synthetic import planted_partition
+from neuralbrane.synthetic import gnm_random_graph, planted_partition
 from neuralbrane.trainer import (
     GradientSet,
     TrainConfig,
     TrainLog,
     TrainingDivergedError,
     apply_update,
+    batch_gradients,
     train,
     triplet_gradients,
     triplet_loss,
@@ -162,6 +164,67 @@ class TestTripletGradients:
             np.testing.assert_allclose(grads.attr_rows[1], 0.0, atol=1e-18)
 
 
+def sum_of_single_gradients(params, g, batch, reg, pooling):
+    """Dense (P, P_prime, W, b) gradients summed over batches of one."""
+    total = [np.zeros_like(block) for block in (params.P, params.P_prime, params.W, params.b)]
+    for t in batch:
+        for block, single in zip(total, dense_gradients(
+                params, triplet_gradients(params, g, t, reg=reg, pooling=pooling))):
+            block += single
+    return total
+
+
+class TestBatchGradients:
+    @staticmethod
+    def instance(seed):
+        # 12 nodes and 6 attributes, so a batch of 25 repeats nodes and rows
+        # across triplets; node 0 has no attributes and anchors a triplet
+        g = gnm_random_graph(nodes=12, edges=24, attributes=6, attrs_per_node=3, seed=seed)
+        g = replace(g, attributes=(np.empty(0, dtype=np.int64),) + g.attributes[1:])
+        params = init_parameters(12, 6, 3, 4, 5, seed=seed)
+        batch = TripletSampler(g, seed=seed).sample_batch(24)
+        positive = int(g.neighbors[0][0])
+        negative = next(v for v in range(1, 12) if not g.has_edge(0, v))
+        return g, params, batch + [Triplet(0, positive, negative)]
+
+    @pytest.mark.parametrize("pooling", ["max", "sum"])
+    @pytest.mark.parametrize("reg", [0.0, 0.05])
+    def test_batch_equals_sum_of_singles(self, pooling, reg):
+        for seed in range(5):
+            g, params, batch = self.instance(seed)
+            grads, losses = batch_gradients(params, g, batch, reg, pooling)
+            expected = sum_of_single_gradients(params, g, batch, reg, pooling)
+            for got, want in zip(dense_gradients(params, grads), expected):
+                scale = max(float(np.max(np.abs(want))), 1e-300)
+                assert float(np.max(np.abs(got - want))) / scale <= 1e-12
+
+            looked_up = [np.unique(np.concatenate([g.attributes[n] for n in t]))
+                         for t in batch]
+            assert grads.attr_ids.tolist() == sorted(set(np.concatenate(looked_up).tolist()))
+            # some attribute row is looked up by several triplets, so the L2
+            # term's per-triplet count is exercised
+            assert np.max(np.bincount(np.concatenate(looked_up))) > 1
+            assert [bpr + l2 for bpr, l2 in losses] == [
+                triplet_loss(params, g, t, reg=reg, pooling=pooling) for t in batch]
+
+    @pytest.mark.parametrize("pooling", ["max", "sum"])
+    def test_update_moves_only_looked_up_rows(self, pooling):
+        g, params, batch = self.instance(7)
+        before = params.copy()
+        grads, _ = batch_gradients(params, g, batch, 0.05, pooling)
+        apply_update(params, grads, 0.5)
+        attr = set(np.concatenate([g.attributes[n] for t in batch for n in t]).tolist())
+        nbr = set(np.concatenate([g.neighbors[n] for t in batch for n in t]).tolist())
+        moved_attr = {r for r in range(6) if not np.array_equal(params.P[r], before.P[r])}
+        moved_nbr = {r for r in range(12)
+                     if not np.array_equal(params.P_prime[r], before.P_prime[r])}
+        # with reg > 0 every looked-up row carries an L2 gradient, so all move
+        assert moved_attr == attr
+        assert moved_nbr == nbr
+        assert not np.array_equal(params.W, before.W)
+        assert not np.array_equal(params.b, before.b)
+
+
 class TestApplyUpdate:
     def test_zero_gradient_is_noop(self):
         params = init_parameters(4, 4, 2, 2, 3, seed=0)
@@ -184,8 +247,8 @@ class TestApplyUpdate:
         g2 = GradientSet.zeros(base)
         g1.w_grad[:] = 0.25
         g2.b_grad[:] = -0.5
-        g1.add_attr(1, np.array([1.0, -1.0]))
-        g2.add_attr(1, np.array([0.5, 0.5]))
+        g1 = replace(g1, attr_ids=np.array([1]), attr_grad=np.array([[1.0, -1.0]]))
+        g2 = replace(g2, attr_ids=np.array([1]), attr_grad=np.array([[0.5, 0.5]]))
 
         sequential = base.copy()
         apply_update(sequential, g1, 0.1)
@@ -194,7 +257,7 @@ class TestApplyUpdate:
         combined = GradientSet.zeros(base)
         combined.w_grad[:] = 0.25
         combined.b_grad[:] = -0.5
-        combined.add_attr(1, np.array([1.5, -0.5]))
+        combined = replace(combined, attr_ids=np.array([1]), attr_grad=np.array([[1.5, -0.5]]))
         at_once = base.copy()
         apply_update(at_once, combined, 0.1)
 
@@ -212,9 +275,9 @@ class TestApplyUpdate:
     def test_sparse_update_touches_only_named_rows(self):
         params = init_parameters(6, 6, 2, 2, 2, seed=3)
         before = params.copy()
-        grads = GradientSet.zeros(params)
-        grads.add_attr(2, np.ones(2))
-        grads.add_nbr(4, np.ones(2))
+        grads = replace(GradientSet.zeros(params),
+                        attr_ids=np.array([2]), attr_grad=np.ones((1, 2)),
+                        nbr_ids=np.array([4]), nbr_grad=np.ones((1, 2)))
         apply_update(params, grads, 0.1)
         changed_attr = [r for r in range(6) if not np.array_equal(params.P[r], before.P[r])]
         changed_nbr = [
@@ -305,10 +368,7 @@ class TestTrain:
         params = init_parameters(30, 15, 4, 4, 6, seed=5)
         before = params.copy()
         batch = TripletSampler(g, seed=4).sample_batch(5)
-        from neuralbrane.trainer import _accumulate_triplet
-        grads = GradientSet.zeros(params)
-        for t in batch:
-            _accumulate_triplet(grads, params, g, t, 0.001, "max")
+        grads, _ = batch_gradients(params, g, batch, 0.001, "max")
         grads.scale(1.0 / len(batch))
         apply_update(params, grads, 0.5)
 
@@ -334,11 +394,8 @@ class TestTrain:
         for block in (params.P, params.P_prime, params.W, params.b):
             block *= 5.0
         batch = TripletSampler(g, seed=3).sample_batch(20)
-        from neuralbrane.trainer import _accumulate_triplet
         before = sum(triplet_loss(params, g, t, reg=0.0) for t in batch)
-        grads = GradientSet.zeros(params)
-        for t in batch:
-            _accumulate_triplet(grads, params, g, t, 0.0, "max")
+        grads, _ = batch_gradients(params, g, batch, 0.0, "max")
         grads.scale(1.0 / len(batch))
         apply_update(params, grads, 1e-3)
         after = sum(triplet_loss(params, g, t, reg=0.0) for t in batch)
