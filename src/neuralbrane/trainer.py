@@ -18,9 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -71,8 +69,8 @@ class TrainConfig:
 class GradientSet:
     """Gradients for a batch: one block of rows per embedding matrix over the
     sorted rows the batch looked up (``attr_ids`` into P, ``nbr_ids`` into
-    P_prime), dense for W and b.  ``attr_rows`` / ``nbr_rows`` view the
-    blocks as read-only row id -> gradient row mappings."""
+    P_prime), dense for W and b.  ``attr_rows`` / ``nbr_rows`` map each row
+    id to its gradient row (views into the blocks)."""
 
     attr_ids: np.ndarray
     attr_grad: np.ndarray
@@ -90,12 +88,12 @@ class GradientSet:
         )
 
     @property
-    def attr_rows(self) -> Mapping[int, np.ndarray]:
-        return MappingProxyType(dict(zip(self.attr_ids.tolist(), self.attr_grad)))
+    def attr_rows(self) -> dict[int, np.ndarray]:
+        return dict(zip(self.attr_ids.tolist(), self.attr_grad))
 
     @property
-    def nbr_rows(self) -> Mapping[int, np.ndarray]:
-        return MappingProxyType(dict(zip(self.nbr_ids.tolist(), self.nbr_grad)))
+    def nbr_rows(self) -> dict[int, np.ndarray]:
+        return dict(zip(self.nbr_ids.tolist(), self.nbr_grad))
 
     def _blocks(self) -> tuple[np.ndarray, ...]:
         return self.attr_grad, self.nbr_grad, self.w_grad, self.b_grad
@@ -108,38 +106,31 @@ class GradientSet:
         return all(np.isfinite(block).all() for block in self._blocks())
 
 
-class _Lookups:
-    """One embedding matrix's gradient entries over a batch, summed into a
-    block of rows when the batch is done."""
+def _looked_up(lists, batch) -> list[np.ndarray]:
+    """Each triplet's distinct rows of one embedding matrix."""
+    return [np.unique(np.concatenate((lists[t.u], lists[t.i], lists[t.j]))) for t in batch]
 
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.touched = [_NO_ROWS]  # each triplet's distinct looked-up rows
-        self.targets = [_NO_ROWS]  # row of each entry; its column is position % width
-        self.parts = [np.empty(0)]
+
+class _RowBlock:
+    """One embedding matrix's batch gradient over the rows the batch looks
+    up, started at each row's L2 gradient once for every triplet that looks
+    it up."""
+
+    def __init__(self, matrix: np.ndarray, per_triplet: list[np.ndarray], reg: float) -> None:
+        self.ids, counts = np.unique(np.concatenate([_NO_ROWS, *per_triplet]),
+                                     return_counts=True)
+        self.grad = matrix[self.ids]
+        self.grad *= (2.0 * reg * counts)[:, None]  # zero when reg is 0
+        self.cols = np.arange(matrix.shape[1])
 
     def route(self, rows: np.ndarray, winners: np.ndarray, part: np.ndarray) -> None:
-        """Push the gradient of a pooled vector back to the rows it pooled."""
+        """Add the gradient of a pooled vector to the rows it pooled.  The
+        rows of one lookup are distinct, so a fancy-indexed += is exact."""
+        local = np.searchsorted(self.ids, rows)
         if len(winners):  # max pooling: each column to its winning row
-            self.targets.append(rows[winners])
-            self.parts.append(part)
-        elif len(rows):  # sum pooling broadcasts; an empty lookup pooled to zero
-            self.targets.append(np.repeat(rows, self.width))
-            self.parts.append(np.tile(part, len(rows)))
-
-    def reduce(self, matrix: np.ndarray, reg: float) -> tuple[np.ndarray, np.ndarray]:
-        """The touched rows and their summed gradients: each row's L2
-        gradient once for every triplet that looked it up, then the entries
-        in lookup order."""
-        ids, counts = np.unique(np.concatenate(self.touched), return_counts=True)
-        block = matrix[ids]
-        block *= (2.0 * reg * counts)[:, None]  # zero when reg is 0
-        local = np.empty(len(matrix), dtype=np.intp)
-        local[ids] = np.arange(len(ids))
-        targets = local[np.concatenate(self.targets)]
-        flat = targets * self.width + np.arange(len(targets)) % self.width
-        np.add.at(block.reshape(-1), flat, np.concatenate(self.parts))
-        return ids, block
+            self.grad[local[winners], self.cols] += part
+        else:  # sum pooling broadcasts; an empty lookup pooled to zero
+            self.grad[local] += part
 
 
 @dataclass
@@ -190,12 +181,15 @@ def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
     batch order.  A row looked up by k triplets carries k times its L2
     gradient; W and b carry it once per triplet.
     """
-    attr, nbr = _Lookups(params.d1), _Lookups(params.d2)
+    attr_sets = _looked_up(g.attributes, batch)
+    nbr_sets = _looked_up(g.neighbors, batch)
+    attr = _RowBlock(params.P, attr_sets, reg)
+    nbr = _RowBlock(params.P_prime, nbr_sets, reg)
     w_grad = np.zeros_like(params.W)
     b_grad = np.zeros_like(params.b)
     losses = []
     dense_l2 = float(np.sum(params.W ** 2)) + float(np.sum(params.b ** 2))
-    for t in batch:
+    for t, attr_rows, nbr_rows in zip(batch, attr_sets, nbr_sets):
         tr_u, tr_i, tr_j, margin = _forward_triplet(params, g, t, pooling)
         delta = sigmoid(margin) - 1.0  # d/d(margin) of -ln sigmoid(margin)
         grads_h = ((tr_u, delta * (tr_i.h_vec - tr_j.h_vec)),
@@ -208,10 +202,6 @@ def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
             grad_f = params.W.T @ masked  # split at the concat seam below
             attr.route(trace.attr_rows, trace.attr_argmax, grad_f[:params.d1])
             nbr.route(trace.nbr_rows, trace.nbr_argmax, grad_f[params.d1:])
-        attr_rows = np.unique(np.concatenate([tr.attr_rows for tr in (tr_u, tr_i, tr_j)]))
-        nbr_rows = np.unique(np.concatenate([tr.nbr_rows for tr in (tr_u, tr_i, tr_j)]))
-        attr.touched.append(attr_rows)
-        nbr.touched.append(nbr_rows)
         l2 = 0.0
         if reg != 0.0:
             l2 = reg * (dense_l2 + float(np.sum(params.P[attr_rows] ** 2))
@@ -220,9 +210,7 @@ def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
 
     w_grad += 2.0 * reg * len(batch) * params.W
     b_grad += 2.0 * reg * len(batch) * params.b
-    attr_ids, attr_grad = attr.reduce(params.P, reg)
-    nbr_ids, nbr_grad = nbr.reduce(params.P_prime, reg)
-    return GradientSet(attr_ids, attr_grad, nbr_ids, nbr_grad, w_grad, b_grad), losses
+    return GradientSet(attr.ids, attr.grad, nbr.ids, nbr.grad, w_grad, b_grad), losses
 
 
 def triplet_loss(params: ModelParameters, g: AttributedGraph, t: Triplet,
@@ -247,8 +235,8 @@ def apply_update(params: ModelParameters, grads: GradientSet, learning_rate: flo
             "non-finite gradient encountered; lower the learning rate or check inputs"
         )
     grads.scale(learning_rate)
-    np.subtract.at(params.P, grads.attr_ids, grads.attr_grad)
-    np.subtract.at(params.P_prime, grads.nbr_ids, grads.nbr_grad)
+    params.P[grads.attr_ids] -= grads.attr_grad
+    params.P_prime[grads.nbr_ids] -= grads.nbr_grad
     params.W -= grads.w_grad
     params.b -= grads.b_grad
 
