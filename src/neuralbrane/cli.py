@@ -184,8 +184,7 @@ def cmd_train(args) -> int:
 
     checkpoint = args.checkpoint or f"{args.out}.ckpt"
     save_checkpoint(params, checkpoint)
-    table = embed_all(params, g, layer=args.export_layer, pooling=args.pooling,
-                      threads=args.threads)
+    table = embed_all(params, g, layer=args.export_layer, pooling=args.pooling)
     _write_embedding(table, args.out, args.emb_format)
     log.info("wrote %s and %s", args.out, checkpoint)
 
@@ -200,8 +199,14 @@ def cmd_train(args) -> int:
 def cmd_embed(args) -> int:
     g = _load_graph_from_args(args)
     params = load_checkpoint(args.checkpoint)
-    table = embed_all(params, g, layer=args.export_layer, pooling=args.pooling,
-                      threads=args.threads)
+    shape = (params.P_prime.shape[0], params.P.shape[0])
+    if shape != (g.node_count, g.attribute_count):
+        raise ValueError(
+            f"{args.checkpoint}: checkpoint is for {shape[0]} nodes and {shape[1]} "
+            f"attributes, but the graph has {g.node_count} nodes and "
+            f"{g.attribute_count} attributes"
+        )
+    table = embed_all(params, g, layer=args.export_layer, pooling=args.pooling)
     _write_embedding(table, args.out, args.emb_format)
     return 0
 
@@ -307,7 +312,7 @@ def build_parser():
           help="which layer to export")
     t.add("--emb-format", default="text", choices=("text", "binary"),
           help="embedding file format")
-    t.add("--threads", type=int, default=1, help="threads for the final embedding pass")
+    t.add("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     t.parser.set_defaults(func=cmd_train)
     commands["train"] = t
 
@@ -318,7 +323,7 @@ def build_parser():
     e.add("--export-layer", default="h", choices=("h", "f"))
     e.add("--emb-format", default="text", choices=("text", "binary"))
     e.add("--pooling", default="max", choices=("max", "sum"))
-    e.add("--threads", type=int, default=1)
+    e.add("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     e.parser.set_defaults(func=cmd_embed)
     commands["embed"] = e
 

@@ -19,7 +19,9 @@ unless explicit counts are passed (the CLI exposes ``--nodes`` / ``--attrs``).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,6 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
-_EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
 
 
 class GraphFormatError(ValueError):
@@ -58,21 +59,21 @@ class AttributedGraph:
 
     def degree_vector(self) -> np.ndarray:
         """Per-node neighbor count (edge weights do not enter)."""
-        return np.array([len(nbrs) for nbrs in self.neighbors], dtype=np.int64)
+        return _lengths(self.neighbors)
 
     @property
     def edge_count(self) -> int:
         """Number of undirected edges."""
-        return sum(len(nbrs) for nbrs in self.neighbors) // 2
+        return int(self.degree_vector().sum()) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.neighbors[u]
-        pos = int(np.searchsorted(nbrs, v))
+        pos = int(nbrs.searchsorted(v))
         return pos < len(nbrs) and nbrs[pos] == v
 
     def edge_weight(self, u: int, v: int) -> float:
         nbrs = self.neighbors[u]
-        pos = int(np.searchsorted(nbrs, v))
+        pos = int(nbrs.searchsorted(v))
         if pos >= len(nbrs) or nbrs[pos] != v:
             raise KeyError(f"no edge ({u}, {v})")
         return float(self.weights[u][pos])
@@ -83,39 +84,88 @@ class AttributedGraph:
         return np.flatnonzero(self.labels >= 0)
 
     def validate(self) -> None:
-        """Check structural invariants; raise GraphFormatError on violation."""
-        if self.node_count < 0 or self.attribute_count < 0:
+        """Check structural invariants; raise GraphFormatError for the first
+        kind of violation found, naming its first node (or edge, in node order)."""
+        n = self.node_count
+        if n < 0 or self.attribute_count < 0:
             raise GraphFormatError("negative node or attribute count")
-        if len(self.neighbors) != self.node_count or len(self.weights) != self.node_count:
+        if len(self.neighbors) != n or len(self.weights) != n:
             raise GraphFormatError("adjacency length does not match node count")
-        if len(self.attributes) != self.node_count:
+        if len(self.attributes) != n:
             raise GraphFormatError("attribute list length does not match node count")
-        for u in range(self.node_count):
-            nbrs, wts = self.neighbors[u], self.weights[u]
-            if len(nbrs) != len(wts):
-                raise GraphFormatError(f"node {u}: neighbor/weight length mismatch")
-            if len(nbrs) and (nbrs[0] < 0 or nbrs[-1] >= self.node_count):
-                raise GraphFormatError(f"node {u}: neighbor id out of range")
-            if np.any(np.diff(nbrs) <= 0):
-                raise GraphFormatError(f"node {u}: neighbors not strictly sorted")
-            if np.any(wts <= 0):
-                raise GraphFormatError(f"node {u}: non-positive edge weight")
-            if self.has_edge(u, u):
-                raise GraphFormatError(f"node {u}: self-loop")
-            attrs = self.attributes[u]
-            if len(attrs) and (attrs[0] < 0 or attrs[-1] >= self.attribute_count):
-                raise GraphFormatError(f"node {u}: attribute id out of range")
-            if np.any(np.diff(attrs) <= 0):
-                raise GraphFormatError(f"node {u}: attributes not strictly sorted")
-        # symmetry with equal weights seen from both endpoints
-        for u in range(self.node_count):
-            for v, w in zip(self.neighbors[u], self.weights[u]):
-                nbrs_v = self.neighbors[v]
-                pos = int(np.searchsorted(nbrs_v, u))
-                if pos >= len(nbrs_v) or nbrs_v[pos] != u:
-                    raise GraphFormatError(f"edge ({u}, {v}) missing reverse direction")
-                if self.weights[v][pos] != w:
-                    raise GraphFormatError(f"edge ({u}, {v}) has asymmetric weights")
+        _reject(np.arange(n), _lengths(self.weights) != self.degree_vector(),
+                "neighbor/weight length mismatch")
+        (owner, nbrs), wts = _flat(self.neighbors), _flat(self.weights)[1]
+        _check_ids(owner, nbrs, n, "neighbor")
+        _reject(owner, wts <= 0, "non-positive edge weight")
+        _reject(owner, nbrs == owner, "self-loop")
+        _check_ids(*_flat(self.attributes), self.attribute_count, "attribute")
+        # symmetry with equal weights: the (owner, neighbor) keys now ascend
+        # strictly, so each edge's reverse is found by binary search
+        if len(nbrs) == 0:
+            return
+        keys, reverse = owner * n + nbrs, nbrs * n + owner
+        pos = np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)
+        missing = keys[pos] != reverse
+        bad = missing | (wts[pos] != wts)
+        if bad.any():
+            k = int(np.argmax(bad))
+            problem = "missing reverse direction" if missing[k] else "has asymmetric weights"
+            raise GraphFormatError(f"edge ({owner[k]}, {nbrs[k]}) {problem}")
+
+
+def _lengths(arrays) -> np.ndarray:
+    return np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
+
+
+def _flat(arrays) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, values): the per-node arrays end to end, and the node of each entry."""
+    values = np.concatenate(arrays) if len(arrays) else _EMPTY_IDS
+    return np.repeat(np.arange(len(arrays)), _lengths(arrays)), values
+
+
+def _reject(owner: np.ndarray, bad: np.ndarray, problem: str) -> None:
+    """Raise for the first flagged entry, naming the node that owns it."""
+    if bad.any():
+        raise GraphFormatError(f"node {owner[np.argmax(bad)]}: {problem}")
+
+
+def _check_ids(owner: np.ndarray, ids: np.ndarray, count: int, kind: str) -> None:
+    """Every node's ids lie in [0, count) and ascend strictly."""
+    _reject(owner, (ids < 0) | (ids >= count), f"{kind} id out of range")
+    _reject(owner[1:], (owner[1:] == owner[:-1]) & (np.diff(ids) <= 0),
+            f"{kind}s not strictly sorted")
+
+
+def _segments(values: np.ndarray, owners: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views of ``values`` (sorted by ``owners``), one per node 0..n-1."""
+    ends = np.cumsum(np.bincount(owners, minlength=n)).tolist()
+    return tuple(values[a:b] for a, b in zip([0] + ends[:-1], ends))
+
+
+def from_edges(n: int, m: int, src, dst, weight, attr_node, attr_id,
+               labels: np.ndarray | None = None, self_loops_dropped: int = 0) -> AttributedGraph:
+    """Build and validate an n-node, m-attribute graph from flat numpy arrays.
+
+    Each undirected edge is given once, in either direction, as ``(src[k],
+    dst[k])`` with weight ``weight[k]``.  Node ``attr_node[k]`` carries
+    attribute ``attr_id[k]``; a pair given twice counts once.  Each node's
+    neighbor, weight and attribute arrays are views into one sorted array.
+    """
+    heads, tails = np.concatenate([src, dst]), np.concatenate([dst, src])
+    order = np.lexsort((tails, heads))
+    heads = heads[order]
+    pairs = np.lexsort((attr_id, attr_node))
+    attr_node, attr_id = attr_node[pairs], attr_id[pairs]
+    first = np.ones(len(pairs), dtype=bool)
+    first[1:] = (np.diff(attr_node) != 0) | (np.diff(attr_id) != 0)
+    g = AttributedGraph(
+        n, m, _segments(tails[order], heads, n),
+        _segments(np.concatenate([weight, weight])[order], heads, n),
+        _segments(attr_id[first], attr_node[first], n), labels, self_loops_dropped,
+    )
+    g.validate()
+    return g
 
 
 def _tokens(path: Path):
@@ -163,24 +213,8 @@ def read_labels(label_path, node_count: int | None = None) -> dict[int, int]:
     return label_map
 
 
-def load_graph(
-    edge_path,
-    attr_path,
-    label_path=None,
-    *,
-    node_count: int | None = None,
-    attribute_count: int | None = None,
-) -> AttributedGraph:
-    """Load and validate an attributed graph from the documented text files.
-
-    Directed edge lines are symmetrized, duplicate lines for the same edge
-    with equal weight are deduplicated, and self-loop lines are dropped and
-    counted (a warning is logged).  Raises GraphFormatError with the file and
-    line number for malformed lines, conflicting duplicate weights, or ids
-    outside an explicitly declared range.
-    """
-    edge_path, attr_path = Path(edge_path), Path(attr_path)
-
+def _parse(edge_path: Path, attr_path: Path, label_path, node_count, attribute_count):
+    """The arguments of ``from_edges`` for the documented text files."""
     edges: dict[tuple[int, int], float] = {}
     self_loops = 0
     max_node = -1
@@ -220,7 +254,7 @@ def load_graph(
     if self_loops:
         log.warning("%s: dropped %d self-loop line(s)", edge_path, self_loops)
 
-    attrs: dict[int, set[int]] = {}
+    attr_node, attr_id = array("q"), array("q")
     max_attr = -1
     for lineno, toks in _tokens(attr_path):
         u = _parse_id(toks[0], attr_path, lineno, "node")
@@ -229,7 +263,6 @@ def load_graph(
                 f"{attr_path}:{lineno}: node id {u} exceeds declared node count {node_count}"
             )
         max_node = max(max_node, u)
-        row = attrs.setdefault(u, set())
         for tok in toks[1:]:
             a = _parse_id(tok, attr_path, lineno, "attribute")
             if attribute_count is not None and a >= attribute_count:
@@ -238,7 +271,8 @@ def load_graph(
                     f"attribute count {attribute_count}"
                 )
             max_attr = max(max_attr, a)
-            row.add(a)
+            attr_node.append(u)
+            attr_id.append(a)
 
     label_map = read_labels(label_path, node_count) if label_path is not None else {}
     max_node = max(max_node, max(label_map, default=-1))
@@ -246,44 +280,37 @@ def load_graph(
     n = node_count if node_count is not None else max_node + 1
     m = attribute_count if attribute_count is not None else max_attr + 1
 
-    nbr_lists: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (u, v), w in edges.items():
-        nbr_lists[u].append((v, w))
-        nbr_lists[v].append((u, w))
-
-    neighbors, weights = [], []
-    for u in range(n):
-        pairs = sorted(nbr_lists[u])
-        if pairs:
-            ids, wts = zip(*pairs)
-            neighbors.append(np.array(ids, dtype=np.int64))
-            weights.append(np.array(wts, dtype=np.float64))
-        else:
-            neighbors.append(_EMPTY_IDS)
-            weights.append(_EMPTY_WEIGHTS)
-
-    attributes = [
-        np.array(sorted(attrs.get(u, ())), dtype=np.int64) if attrs.get(u) else _EMPTY_IDS
-        for u in range(n)
-    ]
-
     labels = None
     if label_path is not None:
         labels = np.full(n, -1, dtype=np.int64)
         for u, c in label_map.items():
             labels[u] = c
 
-    g = AttributedGraph(
-        node_count=n,
-        attribute_count=m,
-        neighbors=tuple(neighbors),
-        weights=tuple(weights),
-        attributes=tuple(attributes),
-        labels=labels,
-        self_loops_dropped=self_loops,
-    )
-    g.validate()
-    return g
+    pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    weight = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+    return (n, m, pairs[0::2], pairs[1::2], weight, np.frombuffer(attr_node, dtype=np.int64),
+            np.frombuffer(attr_id, dtype=np.int64), labels, self_loops)
+
+
+def load_graph(
+    edge_path,
+    attr_path,
+    label_path=None,
+    *,
+    node_count: int | None = None,
+    attribute_count: int | None = None,
+) -> AttributedGraph:
+    """Load and validate an attributed graph from the documented text files.
+
+    Directed edge lines are symmetrized, duplicate lines for the same edge
+    with equal weight are deduplicated, and self-loop lines are dropped and
+    counted (a warning is logged).  Raises GraphFormatError with the file and
+    line number for malformed lines, conflicting duplicate weights, or ids
+    outside an explicitly declared range.
+    """
+    # parsed in a helper, so its dict of edges is freed before the graph is built
+    return from_edges(*_parse(Path(edge_path), Path(attr_path), label_path,
+                              node_count, attribute_count))
 
 
 def write_graph(g: AttributedGraph, edge_path, attr_path, label_path=None) -> None:

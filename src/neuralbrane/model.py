@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -187,25 +186,15 @@ def embed_all(
     g: AttributedGraph,
     layer: str = "h",
     pooling: str = "max",
-    threads: int = 1,
 ) -> EmbeddingTable:
     """Embed every node; row u is its hidden vector (or pooled vector for layer='f')."""
     if layer not in ("h", "f"):
         raise ValueError(f"layer must be 'h' or 'f', got {layer!r}")
     dim = params.h if layer == "h" else params.d
     out = np.empty((g.node_count, dim))
-
-    def fill(span):
-        for u in span:
-            trace = forward(params, g, u, pooling)
-            out[u] = trace.h_vec if layer == "h" else trace.f
-
-    if threads > 1 and g.node_count > 1:
-        chunks = np.array_split(np.arange(g.node_count), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, chunks))
-    else:
-        fill(range(g.node_count))
+    for u in range(g.node_count):
+        trace = forward(params, g, u, pooling)
+        out[u] = trace.h_vec if layer == "h" else trace.f
     return EmbeddingTable(vectors=out)
 
 
@@ -226,7 +215,10 @@ def load_checkpoint(path) -> ModelParameters:
         magic = fh.read(4)
         if magic != MAGIC:
             raise SerializationError(f"{path}: bad magic {magic!r}")
-        version, n, m, d1, d2, h = struct.unpack("<IIIIII", fh.read(24))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise SerializationError(f"{path}: truncated header")
+        version, n, m, d1, d2, h = struct.unpack("<IIIIII", header)
         if version != FORMAT_VERSION:
             raise SerializationError(f"{path}: unsupported version {version}")
         d = d1 + d2

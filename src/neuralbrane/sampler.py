@@ -118,7 +118,6 @@ class TripletSampler:
         self._negative = build_negative_sampler(g)
         self._positive: dict[int, AliasTable] = {}
         self._anchors = np.flatnonzero(g.degree_vector() > 0)
-        self._neighbor_sets = [set(nbrs.tolist()) for nbrs in g.neighbors]
 
     def _positive_table(self, u: int) -> AliasTable:
         table = self._positive.get(u)
@@ -128,20 +127,20 @@ class TripletSampler:
         return table
 
     def _sample_negative(self, u: int, i: int) -> int:
-        forbidden = self._neighbor_sets[u]
+        g = self.graph
         for _ in range(_MAX_REJECTIONS):
             j = self._negative.draw(self.rng)
-            if j != u and j != i and j not in forbidden:
+            if j != u and j != i and not g.has_edge(u, j):
                 return j
-        candidates = [
-            v for v in range(self.graph.node_count)
-            if v != u and v != i and v not in forbidden
-        ]
-        if not candidates:
+        allowed = np.ones(g.node_count, dtype=bool)
+        allowed[g.neighbors[u]] = False
+        allowed[[u, i]] = False
+        candidates = np.flatnonzero(allowed)
+        if len(candidates) == 0:
             raise SamplingError(
                 f"anchor {u} is adjacent to every other node; no negative exists"
             )
-        return candidates[int(self.rng.integers(len(candidates)))]
+        return int(candidates[int(self.rng.integers(len(candidates)))])
 
     def sample_triplet(self) -> Triplet:
         u = int(self._anchors[int(self.rng.integers(len(self._anchors)))])

@@ -99,7 +99,10 @@ def read_embedding_binary(path) -> EmbeddingTable:
         magic = fh.read(4)
         if magic != MAGIC:
             raise SerializationError(f"{path}: bad magic {magic!r}")
-        version, n, dim = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise SerializationError(f"{path}: truncated header")
+        version, n, dim = struct.unpack("<III", header)
         if version != FORMAT_VERSION:
             raise SerializationError(f"{path}: unsupported version {version}")
         payload = fh.read(8 * n * dim)

@@ -4,39 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import AttributedGraph
-
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _build(n: int, m: int, edge_set, attr_sets, labels) -> AttributedGraph:
-    nbr_lists = [[] for _ in range(n)]
-    for u, v, w in edge_set:
-        nbr_lists[u].append((v, w))
-        nbr_lists[v].append((u, w))
-    neighbors, weights = [], []
-    for u in range(n):
-        pairs = sorted(nbr_lists[u])
-        if pairs:
-            ids, wts = zip(*pairs)
-            neighbors.append(np.array(ids, dtype=np.int64))
-            weights.append(np.array(wts, dtype=np.float64))
-        else:
-            neighbors.append(_EMPTY)
-            weights.append(np.empty(0, dtype=np.float64))
-    attributes = tuple(
-        np.array(sorted(s), dtype=np.int64) if s else _EMPTY for s in attr_sets
-    )
-    g = AttributedGraph(
-        node_count=n,
-        attribute_count=m,
-        neighbors=tuple(neighbors),
-        weights=tuple(weights),
-        attributes=attributes,
-        labels=labels,
-    )
-    g.validate()
-    return g
+from .graph import AttributedGraph, from_edges
 
 
 def planted_partition(
@@ -64,15 +32,14 @@ def planted_partition(
         for v in range(u + 1, nodes):
             p = intra_p if block[u] == block[v] else inter_p
             if rng.random() < p:
-                edges.append((u, v, 1.0))
+                edges.append((u, v))
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     attr_block = np.arange(attributes) % communities
-    attr_sets = []
-    for u in range(nodes):
-        own = attr_block == block[u]
-        draws = rng.random(attributes)
-        present = np.where(own, draws < attr_on, draws < attr_off)
-        attr_sets.append(set(np.flatnonzero(present).tolist()))
-    return _build(nodes, attributes, edges, attr_sets, block.astype(np.int64))
+    own = attr_block[None, :] == block[:, None]
+    draws = rng.random((nodes, attributes))  # after the edges, one row per node in order
+    attr_node, attr_id = np.nonzero(np.where(own, draws < attr_on, draws < attr_off))
+    return from_edges(nodes, attributes, src, dst, np.ones(len(src)), attr_node, attr_id,
+                      labels=block.astype(np.int64))
 
 
 def gnm_random_graph(
@@ -94,10 +61,11 @@ def gnm_random_graph(
         if u == v:
             continue
         chosen.add((min(u, v), max(u, v)))
-    edge_list = [(int(u), int(v), 1.0) for u, v in sorted(chosen)]
-    attr_sets = [
-        set(rng.choice(attributes, size=min(attrs_per_node, attributes),
-                       replace=False).tolist())
-        for _ in range(nodes)
-    ]
-    return _build(nodes, attributes, edge_list, attr_sets, None)
+    src, dst = np.array(sorted(chosen), dtype=np.int64).reshape(-1, 2).T
+    per_node = min(attrs_per_node, attributes)
+    attr_id = np.array(
+        [rng.choice(attributes, size=per_node, replace=False) for _ in range(nodes)],
+        dtype=np.int64,
+    ).reshape(nodes, per_node)
+    return from_edges(nodes, attributes, src, dst, np.ones(len(src)),
+                      np.repeat(np.arange(nodes), per_node), attr_id.ravel())

@@ -1,6 +1,7 @@
 import pytest
 
 from neuralbrane.cli import main
+from neuralbrane.model import init_parameters, save_checkpoint
 from neuralbrane.serialize import read_embedding
 
 
@@ -108,6 +109,22 @@ class TestEmbedCommand:
         ])
         assert code == 0
         assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("n, m", [(3, 4), (9, 7), (5, 8)])
+    def test_checkpoint_for_another_graph_rejected(self, toy_files, tmp_path, capsys, n, m):
+        # the toy graph has 5 nodes and 7 attributes
+        checkpoint = tmp_path / "other.ckpt"
+        save_checkpoint(init_parameters(n, m, 2, 2, 3, seed=0), checkpoint)
+        edge_path, attr_path, _ = toy_files
+        code = main([
+            "embed", "--edges", str(edge_path), "--attr-file", str(attr_path),
+            "--checkpoint", str(checkpoint), "--out", str(tmp_path / "emb.txt"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{n} nodes and {m} attributes" in err
+        assert "5 nodes and 7 attributes" in err
+        assert not (tmp_path / "emb.txt").exists()
 
 
 class TestEvaluateCommand:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -177,13 +179,55 @@ class TestInvariants:
         assert graphs_equal(g, reloaded)
         assert g.degree_vector().sum() == 2 * g.edge_count
 
-    def test_validate_catches_asymmetry(self):
-        g = AttributedGraph(
-            node_count=2,
-            attribute_count=1,
-            neighbors=(np.array([1]), np.array([], dtype=np.int64)),
-            weights=(np.array([1.0]), np.array([])),
-            attributes=(np.array([], dtype=np.int64),) * 2,
-        )
-        with pytest.raises(GraphFormatError, match="reverse"):
-            g.validate()
+
+def _path_graph(edits=None) -> AttributedGraph:
+    """Path 0-1-2-3 with weights 1, 2, 3 and three attributes.  ``edits``
+    replaces a count, or maps a per-node field to {node: new list}, where
+    None deletes the node's entry."""
+    fields = dict(
+        node_count=4,
+        attribute_count=3,
+        neighbors=[[1], [0, 2], [1, 3], [2]],
+        weights=[[1.0], [1.0, 2.0], [2.0, 3.0], [3.0]],
+        attributes=[[0], [0, 2], [1], []],
+    )
+    for key, change in (edits or {}).items():
+        if isinstance(change, dict):
+            fields[key] = [change.get(u, row) for u, row in enumerate(fields[key])]
+        else:
+            fields[key] = change
+    arrays = {
+        key: tuple(np.array(row, dtype=np.float64 if key == "weights" else np.int64)
+                   for row in fields[key] if row is not None)
+        for key in ("neighbors", "weights", "attributes")
+    }
+    return AttributedGraph(fields["node_count"], fields["attribute_count"], **arrays)
+
+
+VALIDATE_REJECTIONS = {
+    "negative count": ({"attribute_count": -1}, "negative node or attribute count"),
+    "adjacency length": ({"weights": {3: None}}, "adjacency length does not match"),
+    "attribute length": ({"attributes": {3: None}}, "attribute list length does not match"),
+    "weight count": ({"weights": {2: [2.0]}}, "node 2: neighbor/weight length mismatch"),
+    "neighbor range": ({"neighbors": {3: [2, 4]}, "weights": {3: [3.0, 1.0]}},
+                       "node 3: neighbor id out of range"),
+    "neighbor order": ({"neighbors": {1: [2, 0]}, "weights": {1: [2.0, 1.0]}},
+                       "node 1: neighbors not strictly sorted"),
+    "weight sign": ({"weights": {2: [2.0, 0.0], 3: [0.0]}}, "node 2: non-positive edge weight"),
+    "self-loop": ({"neighbors": {3: [2, 3]}, "weights": {3: [3.0, 1.0]}}, "node 3: self-loop"),
+    "attribute range": ({"attributes": {1: [0, 3]}}, "node 1: attribute id out of range"),
+    "attribute order": ({"attributes": {1: [2, 0]}}, "node 1: attributes not strictly sorted"),
+    "reverse": ({"neighbors": {3: []}, "weights": {3: []}}, "edge (2, 3) missing reverse direction"),
+    "weight symmetry": ({"weights": {3: [4.0]}}, "edge (2, 3) has asymmetric weights"),
+}
+
+
+class TestValidate:
+    def test_path_graph_is_valid(self):
+        _path_graph().validate()
+
+    @pytest.mark.parametrize("case", sorted(VALIDATE_REJECTIONS))
+    def test_rejection_names_offender(self, case):
+        edits, message = VALIDATE_REJECTIONS[case]
+        with pytest.raises(GraphFormatError, match=re.escape(message)):
+            _path_graph(edits).validate()

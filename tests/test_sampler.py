@@ -197,3 +197,41 @@ class TestTripletSampler:
         assert sum(counts) == len(negatives)  # never u, i, or a neighbor
         expected = np.array([2, 3, 3, 2]) / 10 * len(negatives)
         assert chi_square_stat(counts, expected) < CHI2_CRIT[3]
+
+
+# Streams recorded from the set-based sampler this one replaced.  In the two
+# star graphs every node with degree mass neighbours the hub, so a negative
+# for anchor 1 comes only from the fallback scan over isolated nodes: two
+# candidates [0, 5] in the first, the single candidate [0] in the second.
+GOLDEN_STREAMS = {
+    "toy": (None, 5, [
+        (3, 4, 0), (3, 1, 0), (1, 2, 4), (3, 4, 0), (2, 3, 0), (1, 0, 4), (4, 3, 1),
+        (2, 1, 0), (4, 0, 1), (0, 4, 3), (3, 1, 0), (0, 1, 3), (1, 2, 4), (4, 0, 2),
+        (2, 3, 4), (4, 0, 2), (3, 1, 0), (2, 1, 4), (1, 0, 4), (3, 2, 0), (4, 3, 2),
+        (2, 3, 0), (4, 3, 1), (1, 3, 4),
+    ]),
+    "fallback-two": ((["1 2", "1 3", "1 4"], "0\n5\n"), 3, [
+        (4, 1, 2), (3, 1, 4), (3, 1, 4), (1, 4, 5), (2, 1, 3), (3, 1, 2), (3, 1, 2),
+        (1, 2, 0), (4, 1, 2), (1, 4, 5), (3, 1, 2), (3, 1, 4), (3, 1, 4), (1, 4, 5),
+        (2, 1, 3), (3, 1, 2),
+    ]),
+    "fallback-one": ((["1 2", "1 3"], "0\n"), 3, [
+        (3, 1, 2), (2, 1, 3), (1, 3, 0), (2, 1, 3), (1, 3, 0), (3, 1, 2), (2, 1, 3),
+        (2, 1, 3), (2, 1, 3), (3, 1, 2), (1, 3, 0), (1, 2, 0), (1, 3, 0), (2, 1, 3),
+        (2, 1, 3), (2, 1, 3),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STREAMS))
+def test_fixed_seed_stream_matches_recorded(name, toy_graph, tmp_path):
+    files, seed, expected = GOLDEN_STREAMS[name]
+    g = toy_graph
+    if files is not None:
+        edges, attrs = files
+        (tmp_path / "e.txt").write_text("\n".join(edges) + "\n")
+        (tmp_path / "a.txt").write_text(attrs)
+        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
+    batch = TripletSampler(g, seed=seed).sample_batch(len(expected))
+    assert [tuple(t) for t in batch] == expected
+    assert all(type(v) is int for t in batch for v in t)

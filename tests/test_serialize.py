@@ -84,3 +84,17 @@ def test_checkpoint_magic(tmp_path):
     (tmp_path / "junk.ckpt").write_bytes(b"JUNK" + b"\0" * 24)
     with pytest.raises(SerializationError, match="magic"):
         load_checkpoint(tmp_path / "junk.ckpt")
+
+
+def test_short_headers_rejected(tmp_path):
+    params = init_parameters(2, 2, 1, 1, 1, seed=0)
+    save_checkpoint(params, tmp_path / "model.ckpt")
+    (tmp_path / "short.ckpt").write_bytes((tmp_path / "model.ckpt").read_bytes()[:10])
+    with pytest.raises(SerializationError, match="truncated header"):
+        load_checkpoint(tmp_path / "short.ckpt")
+    write_embedding_binary(EmbeddingTable(vectors=np.ones((2, 3))), tmp_path / "emb.bin")
+    (tmp_path / "short.bin").write_bytes((tmp_path / "emb.bin").read_bytes()[:9])
+    with pytest.raises(SerializationError, match="truncated header"):
+        read_embedding_binary(tmp_path / "short.bin")
+    with pytest.raises(SerializationError, match="truncated header"):
+        read_embedding(tmp_path / "short.bin")
