@@ -5,8 +5,10 @@ a checkpoint), ``evaluate`` (classification / clustering / projection of an
 embedding file), ``project`` (shorthand for the projection task), and
 ``ablate-pooling`` (max versus sum pooling side by side).
 
-Every flag can also be given in a ``key=value`` config file via ``--config``;
-explicit flags win over file values.  The environment variable
+Every option can also be given as a ``key=value`` line of a config file
+named by ``--config``; the key is the flag's name (``lr``, ``batch-size``) or
+its destination (``learning_rate``, ``batch_size``).  Flags on the command
+line win over file values, wherever they stand.  The environment variable
 ``NEURAL_BRANE_LOG`` (debug|info|warn) controls verbosity.  Exit codes:
 0 success, 1 user or input error, 2 internal error.
 """
@@ -14,6 +16,8 @@ explicit flags win over file values.  The environment variable
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import logging
 import os
 import sys
@@ -36,8 +40,6 @@ from .trainer import TrainConfig, TrainingDivergedError, train
 
 log = logging.getLogger(__name__)
 
-_UNSET = "\0unset"  # sentinel distinguishing flag-supplied values from defaults
-
 
 def _configure_logging() -> None:
     levels = {"debug": logging.DEBUG, "info": logging.INFO, "warn": logging.WARNING}
@@ -49,119 +51,109 @@ def _configure_logging() -> None:
     )
 
 
-class _Command:
-    """A subparser plus the bookkeeping needed for config-file fallback."""
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows each option's default, unless it has none."""
 
-    def __init__(self, parser: argparse.ArgumentParser) -> None:
-        self.parser = parser
-        self.types: dict[str, object] = {}
-        self.defaults: dict[str, object] = {}
-        parser.add_argument("--config", default=None,
-                            help="key=value file supplying flag defaults")
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
 
-    def add(self, flag: str, *, type=str, default=None, choices=None,
-            required=False, dest=None, help=None) -> None:
-        dest = dest or flag.lstrip("-").replace("-", "_")
-        notes = []
-        if choices is not None:
-            notes.append("|".join(str(c) for c in choices))
-        if default is not None:
-            notes.append(f"default: {default}")
-        shown = f"({'; '.join(notes)})" if notes else ""
-        self.parser.add_argument(
-            flag, dest=dest, type=str, default=_UNSET,
-            help=f"{help or ''} {shown}".strip(),
-        )
-        self.types[dest] = (type, choices, required)
-        self.defaults[dest] = default
 
-    def resolve(self, args: argparse.Namespace) -> argparse.Namespace:
-        """Fill unset options from the config file, then from defaults."""
-        file_values: dict[str, str] = {}
-        if args.config:
-            for lineno, line in enumerate(Path(args.config).read_text().splitlines(), 1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ValueError(f"{args.config}:{lineno}: expected key=value")
-                key, _, value = stripped.partition("=")
-                dest = key.strip().replace("-", "_")
-                if dest not in self.types:
-                    raise ValueError(f"{args.config}:{lineno}: unknown option {key.strip()!r}")
-                file_values[dest] = value.strip()
-        for dest, (type_fn, choices, required) in self.types.items():
-            raw = getattr(args, dest)
-            if raw == _UNSET:
-                if dest in file_values:
-                    raw = file_values[dest]
-                else:
-                    setattr(args, dest, self.defaults[dest])
-                    if required and self.defaults[dest] is None:
-                        self.parser.error(f"missing required option for {dest}")
-                    continue
-            value = type_fn(raw)
-            if choices is not None and value not in choices:
-                self.parser.error(f"{dest}: {value!r} not in {choices}")
-            setattr(args, dest, value)
-        return args
+def _expand_config(commands: dict, argv: list[str]) -> list[str]:
+    """``argv`` with ``--config PATH`` replaced by the file's ``key=value``
+    lines as ``--flag=value``, right after the subcommand, so that flags on
+    the command line come later and win.  A key is a flag's name (``lr``,
+    ``batch-size``) or its destination (``learning_rate``, ``batch_size``)."""
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return argv
+    pre = argparse.ArgumentParser(prog=command.prog, add_help=False)
+    pre.add_argument("--config", metavar="PATH")
+    known, rest = pre.parse_known_args(argv[1:])
+    if known.config is None:
+        return argv
+    flags = {}
+    for action in command._actions:
+        if action.dest not in ("help", "config"):
+            for flag in action.option_strings:
+                flags[flag.lstrip("-").replace("-", "_")] = flags[action.dest] = flag
+    lines = []
+    for lineno, line in enumerate(Path(known.config).read_text().splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in stripped.partition("="))
+        if not eq:
+            raise ValueError(f"{known.config}:{lineno}: expected key=value")
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
+            raise ValueError(f"{known.config}:{lineno}: unknown option {key!r}")
+        lines.append(f"{flag}={value}")
+    return [argv[0], *lines, *rest]
+
+
+def _output(path):
+    """The file at ``path`` opened for writing, or stdout if there is no path."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _ratio_list(text: str) -> tuple[float, ...]:
-    ratios = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    try:
+        ratios = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        ratios = ()
     if not ratios:
-        raise ValueError("empty ratio list")
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     return ratios
 
 
-def _add_graph_options(cmd: _Command, need_labels: bool = False) -> None:
-    cmd.add("--edges", required=True, help="edge list file")
-    cmd.add("--attr-file", required=True, help="node attribute file")
-    cmd.add("--label-file", required=need_labels, help="node label file")
-    cmd.add("--nodes", type=int, help="override node count (default: max id + 1)")
-    cmd.add("--attrs", type=int, help="override attribute count (default: max id + 1)")
+def _add_graph_options(p, need_labels: bool = False) -> None:
+    p.add_argument("--edges", required=True, help="edge list file")
+    p.add_argument("--attr-file", required=True, help="node attribute file")
+    p.add_argument("--label-file", required=need_labels, help="node label file")
+    p.add_argument("--nodes", type=int, help="override node count (default: max id + 1)")
+    p.add_argument("--attrs", type=int, help="override attribute count (default: max id + 1)")
 
 
-def _add_train_options(cmd: _Command) -> None:
+def _add_train_options(p) -> None:
     fields = TrainConfig()
-    cmd.add("--d1", type=int, default=fields.d1, help="attribute embedding width")
-    cmd.add("--d2", type=int, default=fields.d2, help="neighbor embedding width")
-    cmd.add("--hidden", type=int, default=fields.hidden, help="hidden layer width")
-    cmd.add("--lr", type=float, default=fields.learning_rate, dest="learning_rate",
-            help="SGD learning rate")
-    cmd.add("--lambda", type=float, default=fields.reg, dest="reg",
-            help="L2 regularization coefficient")
-    cmd.add("--batch-size", type=int, default=fields.batch_size, help="triplets per batch")
-    cmd.add("--epochs", type=int, default=fields.epochs, help="maximum epochs")
-    cmd.add("--seed", type=int, default=fields.seed, help="random seed")
-    cmd.add("--pooling", default=fields.pooling, choices=("max", "sum"),
-            help="embedding layer pooling")
-    cmd.add("--grad-agg", default=fields.grad_agg, choices=("mean", "sum"),
-            help="batch gradient aggregation")
-    cmd.add("--tol", type=float, default=fields.convergence_tol, dest="convergence_tol",
-            help="relative epoch-loss change that counts as converged")
+    p.add_argument("--d1", type=int, default=fields.d1, help="attribute embedding width")
+    p.add_argument("--d2", type=int, default=fields.d2, help="neighbor embedding width")
+    p.add_argument("--hidden", type=int, default=fields.hidden, help="hidden layer width")
+    p.add_argument("--lr", type=float, default=fields.learning_rate, dest="learning_rate",
+                   help="SGD learning rate")
+    p.add_argument("--lambda", type=float, default=fields.reg, dest="reg",
+                   help="L2 regularization coefficient")
+    p.add_argument("--batch-size", type=int, default=fields.batch_size,
+                   help="triplets per batch")
+    p.add_argument("--epochs", type=int, default=fields.epochs, help="maximum epochs")
+    p.add_argument("--seed", type=int, default=fields.seed, help="random seed")
+    p.add_argument("--pooling", default=fields.pooling, choices=("max", "sum"),
+                   help="embedding layer pooling")
+    p.add_argument("--grad-agg", default=fields.grad_agg, choices=("mean", "sum"),
+                   help="batch gradient aggregation")
+    p.add_argument("--tol", type=float, default=fields.convergence_tol, dest="convergence_tol",
+                   help="relative epoch-loss change that counts as converged")
+
+
+def _add_export_options(p) -> None:
+    p.add_argument("--export-layer", default="h", choices=("h", "f"),
+                   help="which layer to export")
+    p.add_argument("--emb-format", default="text", choices=("text", "binary"),
+                   help="embedding file format")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
 
 
 def _load_graph_from_args(args) -> "AttributedGraph":
-    return load_graph(
-        args.edges, args.attr_file, args.label_file,
-        node_count=args.nodes, attribute_count=args.attrs,
-    )
+    return load_graph(args.edges, args.attr_file, args.label_file,
+                      node_count=args.nodes, attribute_count=args.attrs)
+
+
+_TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(TrainConfig))  # the options' dests
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        d1=args.d1, d2=args.d2, hidden=args.hidden,
-        learning_rate=args.learning_rate, reg=args.reg,
-        batch_size=args.batch_size, epochs=args.epochs, seed=args.seed,
-        pooling=args.pooling, grad_agg=args.grad_agg,
-        convergence_tol=args.convergence_tol,
-    )
-
-
-def _echo_config(args, keys) -> None:
-    rendered = " ".join(f"{k}={getattr(args, k)}" for k in keys)
-    log.info("effective config: %s", rendered)
+    return TrainConfig(**{name: getattr(args, name) for name in _TRAIN_FIELDS})
 
 
 def _write_embedding(table: EmbeddingTable, path: str, fmt: str) -> None:
@@ -172,9 +164,8 @@ def _write_embedding(table: EmbeddingTable, path: str, fmt: str) -> None:
 
 
 def cmd_train(args) -> int:
-    _echo_config(args, ("edges", "attr_file", "label_file", "d1", "d2", "hidden",
-                        "learning_rate", "reg", "batch_size", "epochs", "seed",
-                        "pooling", "grad_agg", "convergence_tol", "export_layer"))
+    keys = ("edges", "attr_file", "label_file", *_TRAIN_FIELDS, "export_layer")
+    log.info("effective config: %s", " ".join(f"{k}={getattr(args, k)}" for k in keys))
     g = _load_graph_from_args(args)
     log.info("loaded graph: %d nodes, %d edges, %d attributes",
              g.node_count, g.edge_count, g.attribute_count)
@@ -188,11 +179,8 @@ def cmd_train(args) -> int:
     _write_embedding(table, args.out, args.emb_format)
     log.info("wrote %s and %s", args.out, checkpoint)
 
-    if args.log_file:
-        with open(args.log_file, "w", encoding="utf-8") as fh:
-            tlog.write_csv(fh)
-    else:
-        tlog.write_csv(sys.stdout)
+    with _output(args.log_file) as fh:
+        tlog.write_csv(fh)
     return 0
 
 
@@ -217,34 +205,21 @@ def _load_labels_for(table: EmbeddingTable, label_file: str) -> np.ndarray:
     return np.array([mapping.get(int(i), -1) for i in table.ids], dtype=np.int64)
 
 
-def _emit_report(report, path) -> None:
-    print(report.summary())
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            report.write_csv(fh)
-    else:
-        report.write_csv(sys.stdout)
-
-
 def _project_to_csv(table: EmbeddingTable, labels, path) -> None:
     coords = project_2d(table.vectors)
-    out = open(path, "w", encoding="utf-8") if path else sys.stdout
-    try:
+    with _output(path) as out:
         for row, node_id in enumerate(table.ids):
             line = f"{int(node_id)},{coords[row, 0]:.9g},{coords[row, 1]:.9g}"
             if labels is not None:
                 line += f",{int(labels[row])}"
             out.write(line + "\n")
-    finally:
-        if path:
-            out.close()
 
 
 def cmd_evaluate(args) -> int:
+    """Classify, cluster or project an embedding file (``project`` runs here
+    with ``task="project"``)."""
     table = read_embedding(args.embeddings)
-    labels = None
-    if args.labels:
-        labels = _load_labels_for(table, args.labels)
+    labels = _load_labels_for(table, args.labels) if args.labels else None
     if args.task == "project":
         _project_to_csv(table, labels, args.out)
         return 0
@@ -256,14 +231,9 @@ def cmd_evaluate(args) -> int:
     else:
         report = run_clustering_eval(table.vectors, labels, k=args.k,
                                      runs=args.repeats, seed=args.seed)
-    _emit_report(report, args.report)
-    return 0
-
-
-def cmd_project(args) -> int:
-    table = read_embedding(args.embeddings)
-    labels = _load_labels_for(table, args.labels) if args.labels else None
-    _project_to_csv(table, labels, args.out)
+    print(report.summary())
+    with _output(args.report) as fh:
+        report.write_csv(fh)
     return 0
 
 
@@ -283,91 +253,80 @@ def cmd_ablate_pooling(args) -> int:
                                          seed=args.seed)
         rows.append((pooling, report.macro_f1_mean[0], report.macro_f1_std[0]))
         print(f"pooling={pooling}: macro-F1 {rows[-1][1]:.4f} +/- {rows[-1][2]:.4f}")
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         out.write("pooling,macro_f1_mean,macro_f1_std\n")
         for pooling, mean, std in rows:
             out.write(f"{pooling},{mean:.9g},{std:.9g}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
 def build_parser():
+    """The top-level parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="neuralbrane",
         description="Attributed network embedding with a ranking objective.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, _Command] = {}
 
-    t = _Command(sub.add_parser("train", help="fit a model and export embeddings"))
+    def command(name, help, func, **defaults):
+        p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
+        p.add_argument("--config", metavar="PATH",
+                       help="key=value file of option values; flags on the command line win")
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    t = command("train", "fit a model and export embeddings", cmd_train)
     _add_graph_options(t)
     _add_train_options(t)
-    t.add("--out", required=True, help="embedding output path")
-    t.add("--checkpoint", help="checkpoint path (default: <out>.ckpt)")
-    t.add("--log-file", help="write the per-epoch CSV here instead of stdout")
-    t.add("--export-layer", default="h", choices=("h", "f"),
-          help="which layer to export")
-    t.add("--emb-format", default="text", choices=("text", "binary"),
-          help="embedding file format")
-    t.add("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
-    t.parser.set_defaults(func=cmd_train)
-    commands["train"] = t
+    t.add_argument("--out", required=True, help="embedding output path")
+    t.add_argument("--checkpoint", help="checkpoint path (default: <out>.ckpt)")
+    t.add_argument("--log-file", help="write the per-epoch CSV here instead of stdout")
+    _add_export_options(t)
 
-    e = _Command(sub.add_parser("embed", help="export embeddings from a checkpoint"))
+    e = command("embed", "export embeddings from a checkpoint", cmd_embed)
     _add_graph_options(e)
-    e.add("--checkpoint", required=True, help="checkpoint produced by train")
-    e.add("--out", required=True, help="embedding output path")
-    e.add("--export-layer", default="h", choices=("h", "f"))
-    e.add("--emb-format", default="text", choices=("text", "binary"))
-    e.add("--pooling", default="max", choices=("max", "sum"))
-    e.add("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
-    e.parser.set_defaults(func=cmd_embed)
-    commands["embed"] = e
+    e.add_argument("--checkpoint", required=True, help="checkpoint produced by train")
+    e.add_argument("--out", required=True, help="embedding output path")
+    _add_export_options(e)
+    e.add_argument("--pooling", default="max", choices=("max", "sum"),
+                   help="embedding layer pooling")
 
-    v = _Command(sub.add_parser("evaluate", help="score an embedding file"))
-    v.add("--embeddings", required=True, help="embedding file (text or binary)")
-    v.add("--labels", help="label file")
-    v.add("--task", default="classify", choices=("classify", "cluster", "project"))
-    v.add("--ratios", type=_ratio_list, default=(0.3, 0.5, 0.7),
-          help="train ratios for classification")
-    v.add("--repeats", type=int, default=10, help="splits or clustering runs")
-    v.add("--seed", type=int, default=7)
-    v.add("--k", type=int, help="cluster count (default: number of classes)")
-    v.add("--report", help="write the CSV report here instead of stdout")
-    v.add("--out", help="projection CSV path (project task)")
-    v.parser.set_defaults(func=cmd_evaluate)
-    commands["evaluate"] = v
+    v = command("evaluate", "score an embedding file", cmd_evaluate)
+    v.add_argument("--embeddings", required=True, help="embedding file (text or binary)")
+    v.add_argument("--labels", help="label file")
+    v.add_argument("--task", default="classify", choices=("classify", "cluster", "project"),
+                   help="what to compute")
+    v.add_argument("--ratios", type=_ratio_list, default=(0.3, 0.5, 0.7),
+                   help="train ratios for classification")
+    v.add_argument("--repeats", type=int, default=10, help="splits or clustering runs")
+    v.add_argument("--seed", type=int, default=7, help="random seed")
+    v.add_argument("--k", type=int, help="cluster count (default: number of classes)")
+    v.add_argument("--report", help="write the CSV report here instead of stdout")
+    v.add_argument("--out", help="projection CSV path (project task)")
 
-    p = _Command(sub.add_parser("project", help="2-component projection to CSV"))
-    p.add("--embeddings", required=True)
-    p.add("--labels", help="optional labels appended as a column")
-    p.add("--out", help="output CSV (default: stdout)")
-    p.parser.set_defaults(func=cmd_project)
-    commands["project"] = p
+    p = command("project", "2-component projection to CSV", cmd_evaluate, task="project")
+    p.add_argument("--embeddings", required=True, help="embedding file (text or binary)")
+    p.add_argument("--labels", help="optional labels appended as a column")
+    p.add_argument("--out", help="output CSV (default: stdout)")
 
-    a = _Command(sub.add_parser("ablate-pooling",
-                                help="train with max and sum pooling, compare macro-F1"))
+    a = command("ablate-pooling", "train with max and sum pooling, compare macro-F1",
+                cmd_ablate_pooling)
     _add_graph_options(a, need_labels=True)
     _add_train_options(a)
-    a.add("--ratio", type=float, default=0.7, help="train ratio for the comparison")
-    a.add("--repeats", type=int, default=10)
-    a.add("--export-layer", default="h", choices=("h", "f"))
-    a.add("--out", help="result CSV (default: stdout)")
-    a.parser.set_defaults(func=cmd_ablate_pooling)
-    commands["ablate-pooling"] = a
-
-    return parser, commands
+    a.add_argument("--ratio", type=float, default=0.7, help="train ratio for the comparison")
+    a.add_argument("--repeats", type=int, default=10, help="classification splits")
+    a.add_argument("--export-layer", default="h", choices=("h", "f"),
+                   help="which layer to export")
+    a.add_argument("--out", help="result CSV (default: stdout)")
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     _configure_logging()
     parser, commands = build_parser()
     try:
-        args = parser.parse_args(argv)
-        commands[args.command].resolve(args)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = parser.parse_args(_expand_config(commands, argv))
         return args.func(args)
     except SystemExit as exc:
         if exc.code in (0, None):

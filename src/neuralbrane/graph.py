@@ -143,6 +143,24 @@ def _segments(values: np.ndarray, owners: np.ndarray, n: int) -> tuple[np.ndarra
     return tuple(values[a:b] for a, b in zip([0] + ends[:-1], ends))
 
 
+def _pair_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort((minor, major))`` gives, from one stable
+    argsort of an int64 key.  The key is exact for any ids, out-of-range ones
+    included, so ``validate`` still names those; where it would overflow
+    int64, lexsort runs instead."""
+    if len(major) == 0:
+        return np.argsort(major)
+    lo_major, lo_minor = int(major.min()), int(minor.min())
+    span = int(minor.max()) - lo_minor + 1
+    if (int(major.max()) - lo_major + 1) * span > np.iinfo(np.int64).max:
+        return np.lexsort((minor, major))
+    key = np.subtract(major, lo_major, dtype=np.int64)  # in place, to keep peak memory low
+    key *= span
+    key += minor
+    key -= lo_minor  # exact: int64 wraps, and the final key fits
+    return np.argsort(key, kind="stable")
+
+
 def from_edges(n: int, m: int, src, dst, weight, attr_node, attr_id,
                labels: np.ndarray | None = None, self_loops_dropped: int = 0) -> AttributedGraph:
     """Build and validate an n-node, m-attribute graph from flat numpy arrays.
@@ -153,9 +171,9 @@ def from_edges(n: int, m: int, src, dst, weight, attr_node, attr_id,
     neighbor, weight and attribute arrays are views into one sorted array.
     """
     heads, tails = np.concatenate([src, dst]), np.concatenate([dst, src])
-    order = np.lexsort((tails, heads))
+    order = _pair_order(heads, tails)
     heads = heads[order]
-    pairs = np.lexsort((attr_id, attr_node))
+    pairs = _pair_order(attr_node, attr_id)
     attr_node, attr_id = attr_node[pairs], attr_id[pairs]
     first = np.ones(len(pairs), dtype=bool)
     first[1:] = (np.diff(attr_node) != 0) | (np.diff(attr_id) != 0)

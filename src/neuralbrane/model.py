@@ -14,14 +14,12 @@ row index so backpropagation is deterministic.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .graph import AttributedGraph
-from .serialize import FORMAT_VERSION, MAGIC, EmbeddingTable, SerializationError
+from .serialize import EmbeddingTable, read_nbrn, write_nbrn
 
 POOLING_MODES = ("max", "sum")
 
@@ -202,36 +200,20 @@ def save_checkpoint(params: ModelParameters, path) -> None:
     """Persist parameters: NBRN magic, version, dims (n, m, d1, d2, h), then
     P, P_prime, W, b row-major as little-endian float64."""
     n, m = params.P_prime.shape[0], params.P.shape[0]
-    with Path(path).open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIIIII", FORMAT_VERSION, n, m, params.d1, params.d2, params.h))
-        for block in (params.P, params.P_prime, params.W, params.b):
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    write_nbrn(path, (n, m, params.d1, params.d2, params.h),
+               (params.P, params.P_prime, params.W, params.b))
+
+
+def _checkpoint_blocks(n: int, m: int, d1: int, d2: int, h: int) -> tuple[int, ...]:
+    """Value counts of P, P_prime, W and b."""
+    return m * d1, n * d2, h * (d1 + d2), h
 
 
 def load_checkpoint(path) -> ModelParameters:
-    path = Path(path)
-    with path.open("rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise SerializationError(f"{path}: bad magic {magic!r}")
-        header = fh.read(24)
-        if len(header) != 24:
-            raise SerializationError(f"{path}: truncated header")
-        version, n, m, d1, d2, h = struct.unpack("<IIIIII", header)
-        if version != FORMAT_VERSION:
-            raise SerializationError(f"{path}: unsupported version {version}")
-        d = d1 + d2
-        counts = (m * d1, n * d2, h * d, h)
-        payload = fh.read(8 * sum(counts))
-        if len(payload) != 8 * sum(counts):
-            raise SerializationError(f"{path}: truncated payload")
-    flat = np.frombuffer(payload, dtype="<f8")
-    offsets = np.cumsum((0,) + counts)
+    dims, flat = read_nbrn(path, 5, lambda *dims: sum(_checkpoint_blocks(*dims)))
+    n, m, d1, d2, h = dims
+    P, P_prime, W, b = np.split(flat, np.cumsum(_checkpoint_blocks(*dims))[:-1])
     return ModelParameters(
-        P=flat[offsets[0]:offsets[1]].reshape(m, d1).copy(),
-        P_prime=flat[offsets[1]:offsets[2]].reshape(n, d2).copy(),
-        W=flat[offsets[2]:offsets[3]].reshape(h, d).copy(),
-        b=flat[offsets[3]:offsets[4]].copy(),
+        P=P.reshape(m, d1), P_prime=P_prime.reshape(n, d2), W=W.reshape(h, d1 + d2), b=b,
         d1=d1, d2=d2, h=h,
     )

@@ -5,10 +5,13 @@ Text format: a header line ``<n> <dim>`` followed by one line per node,
 
 Binary format (little-endian): magic ``NBRN``, version u32, n u32, dim u32,
 then n*dim row-major float64 values.  Rows are implicitly nodes 0..n-1.
+Checkpoints use the same container with other dims (``model.save_checkpoint``);
+a file must end where the payload its header declares ends.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,11 +57,11 @@ class EmbeddingTable:
 
 
 def write_embedding_text(table: EmbeddingTable, path) -> None:
+    row_format = "%d " + " ".join(["%.9g"] * table.dim) + "\n"
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"{table.node_count} {table.dim}\n")
-        for node_id, row in zip(table.ids, table.vectors):
-            values = " ".join(f"{v:.9g}" for v in row)
-            fh.write(f"{int(node_id)} {values}\n")
+        for node_id, row in zip(table.ids.tolist(), table.vectors):
+            fh.write(row_format % (node_id, *row.tolist()))
 
 
 def read_embedding_text(path) -> EmbeddingTable:
@@ -84,32 +87,54 @@ def read_embedding_text(path) -> EmbeddingTable:
     return EmbeddingTable(vectors=vectors, ids=ids)
 
 
-def write_embedding_binary(table: EmbeddingTable, path) -> None:
-    if not table.has_contiguous_ids():
-        raise SerializationError("binary embedding format requires ids 0..n-1")
+def write_nbrn(path, dims, blocks) -> None:
+    """Write the NBRN container: magic, u32 version, the u32 ``dims``, then
+    each array of ``blocks`` row-major as little-endian float64."""
     with Path(path).open("wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, table.node_count, table.dim))
-        fh.write(np.ascontiguousarray(table.vectors, dtype="<f8").tobytes())
+        fh.write(struct.pack(f"<{len(dims) + 1}I", FORMAT_VERSION, *dims))
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
-def read_embedding_binary(path) -> EmbeddingTable:
+def read_nbrn(path, fields: int, payload_size) -> tuple[tuple[int, ...], np.ndarray]:
+    """Read an NBRN container with ``fields`` u32 dims, whose float64 payload
+    holds ``payload_size(*dims)`` values; returns (dims, flat payload).
+
+    The file must be exactly that long, so a short file or trailing bytes
+    (an NBRN file of the other kind, say) raise SerializationError.
+    """
     path = Path(path)
     with path.open("rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise SerializationError(f"{path}: bad magic {magic!r}")
-        header = fh.read(12)
-        if len(header) != 12:
+        header = fh.read(4 * (fields + 1))
+        if len(header) != 4 * (fields + 1):
             raise SerializationError(f"{path}: truncated header")
-        version, n, dim = struct.unpack("<III", header)
+        version, *dims = struct.unpack(f"<{fields + 1}I", header)
         if version != FORMAT_VERSION:
             raise SerializationError(f"{path}: unsupported version {version}")
-        payload = fh.read(8 * n * dim)
-        if len(payload) != 8 * n * dim:
+        count = payload_size(*dims)
+        extra = os.fstat(fh.fileno()).st_size - fh.tell() - 8 * count
+        if extra < 0:
             raise SerializationError(f"{path}: truncated payload")
-        vectors = np.frombuffer(payload, dtype="<f8").reshape(n, dim).copy()
-    return EmbeddingTable(vectors=vectors)
+        if extra > 0:
+            raise SerializationError(f"{path}: {extra} trailing bytes after the payload")
+        payload = np.empty(count, dtype="<f8")
+        fh.readinto(payload)
+    return tuple(dims), payload
+
+
+def write_embedding_binary(table: EmbeddingTable, path) -> None:
+    if not table.has_contiguous_ids():
+        raise SerializationError("binary embedding format requires ids 0..n-1")
+    write_nbrn(path, (table.node_count, table.dim), [table.vectors])
+
+
+def read_embedding_binary(path) -> EmbeddingTable:
+    (n, dim), payload = read_nbrn(path, 2, lambda n, dim: n * dim)
+    return EmbeddingTable(vectors=payload.reshape(n, dim))
 
 
 def read_embedding(path) -> EmbeddingTable:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralbrane.graph import AttributedGraph, GraphFormatError, load_graph, write_graph
+from neuralbrane.graph import (
+    AttributedGraph, GraphFormatError, _pair_order, load_graph, write_graph,
+)
 
 from .conftest import TOY_EDGES, write_toy_files
 
@@ -231,3 +233,23 @@ class TestValidate:
         edits, message = VALIDATE_REJECTIONS[case]
         with pytest.raises(GraphFormatError, match=re.escape(message)):
             _path_graph(edits).validate()
+
+
+class TestPairOrder:
+    @pytest.mark.parametrize("low, high", [
+        (0, 50),  # in range
+        (-7, 10**6),  # negative and out-of-range ids, as validate must see them
+        (-2**62, 2**62),  # a key span past int64
+    ])
+    def test_matches_lexsort(self, low, high):
+        rng = np.random.default_rng(11)
+        major = np.sort(rng.integers(0, 40, size=600))
+        minor = rng.integers(low, high, size=600)
+        minor[::5] = minor[1::5]  # repeated pairs keep their input order
+        for perm in (np.arange(600), rng.permutation(600)):
+            a, b = major[perm], minor[perm]
+            assert np.array_equal(_pair_order(a, b), np.lexsort((b, a)))
+
+    def test_empty(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert _pair_order(empty, empty).tolist() == []

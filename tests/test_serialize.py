@@ -98,3 +98,44 @@ def test_short_headers_rejected(tmp_path):
         read_embedding_binary(tmp_path / "short.bin")
     with pytest.raises(SerializationError, match="truncated header"):
         read_embedding(tmp_path / "short.bin")
+
+
+def _checkpoint_and_embedding(tmp_path):
+    save_checkpoint(init_parameters(4, 3, 2, 2, 3, seed=0), tmp_path / "model.ckpt")
+    write_embedding_binary(EmbeddingTable(vectors=np.ones((4, 3))), tmp_path / "emb.bin")
+    return tmp_path / "model.ckpt", tmp_path / "emb.bin"
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda data: data + b"\0", "trailing"),
+    (lambda data: data[:-1], "truncated payload"),
+])
+def test_payload_length_must_match_header(tmp_path, edit, problem):
+    for path, reader in zip(_checkpoint_and_embedding(tmp_path),
+                            (load_checkpoint, read_embedding_binary)):
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(SerializationError, match=problem):
+            reader(path)
+
+
+def test_checkpoint_and_embedding_not_mistaken_for_each_other(tmp_path):
+    # a 40-node, 12-attribute checkpoint's header also reads as a 40 x 12 embedding
+    save_checkpoint(init_parameters(40, 12, 75, 75, 150, seed=0), tmp_path / "model.ckpt")
+    with pytest.raises(SerializationError, match="trailing"):
+        read_embedding(tmp_path / "model.ckpt")
+    _, embedding = _checkpoint_and_embedding(tmp_path)
+    with pytest.raises(SerializationError):
+        load_checkpoint(embedding)
+
+
+def test_text_writer_matches_per_value_format(tmp_path, rng):
+    vectors = rng.normal(scale=1e3, size=(5, 4))
+    vectors[0] = [np.nan, np.inf, -np.inf, -0.0]
+    vectors[1] = [1e-300, 1e300, 123456789.0, 0.1]
+    table = EmbeddingTable(vectors=vectors, ids=[7, 3, 0, 12, 5])
+    write_embedding_text(table, tmp_path / "emb.txt")
+    expected = "5 4\n" + "".join(
+        f"{int(i)} " + " ".join(f"{v:.9g}" for v in row) + "\n"
+        for i, row in zip(table.ids, table.vectors)
+    )
+    assert (tmp_path / "emb.txt").read_text() == expected
