@@ -62,11 +62,13 @@ def _expand_config(commands: dict, argv: list[str]) -> list[str]:
     """``argv`` with ``--config PATH`` replaced by the file's ``key=value``
     lines as ``--flag=value``, right after the subcommand, so that flags on
     the command line come later and win.  A key is a flag's name (``lr``,
-    ``batch-size``) or its destination (``learning_rate``, ``batch_size``)."""
+    ``batch-size``) or its destination (``learning_rate``, ``batch_size``).
+    Only the full flag is taken: an abbreviation is left for the real parser,
+    which knows whether it is ambiguous (``--c`` is, on ``train``)."""
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return argv
-    pre = argparse.ArgumentParser(prog=command.prog, add_help=False)
+    pre = argparse.ArgumentParser(prog=command.prog, add_help=False, allow_abbrev=False)
     pre.add_argument("--config", metavar="PATH")
     known, rest = pre.parse_known_args(argv[1:])
     if known.config is None:
@@ -327,6 +329,8 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(_expand_config(commands, argv))
+        if args.config is not None:  # _expand_config took every full --config
+            raise ValueError(f"write --config in full; {args.config} was not read")
         return args.func(args)
     except SystemExit as exc:
         if exc.code in (0, None):

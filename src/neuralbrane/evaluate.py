@@ -6,11 +6,15 @@ descent, scored with Macro-F1.  Clustering: repeated k-means with k set to
 the ground-truth class count, scored with NMI and Purity.  A 2-component PCA
 projection is available for plotting.
 
-All entry points take explicit seeds and are deterministic.
+All entry points take explicit seeds and are deterministic.  The three
+evaluations run with floating-point overflow raised: on finite input it
+means the embedding's values are too large, which is reported as a
+ValueError rather than as numpy warnings and nan results.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +70,17 @@ class EvalReport:
         return "\n".join(lines)
 
 
+@contextlib.contextmanager
+def _values_in_range():
+    """Raise overflow and invalid operations instead of warning, and report
+    them as embedding values too large for the evaluation."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise ValueError(f"embedding values are too large to evaluate ({exc})") from None
+
+
 def split_train_test(labels: np.ndarray, ratio: float, seed=0):
     """Uniform random split of the labeled nodes into train and test indices.
 
@@ -92,11 +107,12 @@ def split_train_test(labels: np.ndarray, ratio: float, seed=0):
 
 
 def _design(features: np.ndarray, targets: np.ndarray, num_classes: int):
-    """Bias-augmented features and one-hot targets."""
+    """The transposed bias-augmented design, (dim+1 × n), and the
+    (classes × n) one-hot targets."""
     n = features.shape[0]
-    onehot = np.zeros((n, num_classes))
-    onehot[np.arange(n), targets] = 1.0
-    return np.hstack([features, np.ones((n, 1))]), onehot
+    onehot = np.zeros((num_classes, n))
+    onehot[targets, np.arange(n)] = 1.0
+    return np.vstack([features.T, np.ones((1, n))]), onehot
 
 
 def softmax_cross_entropy(weights: np.ndarray, features: np.ndarray,
@@ -104,20 +120,23 @@ def softmax_cross_entropy(weights: np.ndarray, features: np.ndarray,
                           penalty: float = LOGREG_PENALTY):
     """Mean cross-entropy of a bias-augmented softmax classifier plus an L2
     penalty on the non-bias weights; returns (loss, gradient)."""
-    augmented, onehot = _design(features, targets, num_classes)
-    return _cross_entropy(weights, augmented, onehot, targets, penalty)
+    design, onehot = _design(features, targets, num_classes)
+    return _cross_entropy(weights, design, onehot, targets, penalty)
 
 
-def _cross_entropy(weights, augmented, onehot, targets, penalty):
-    """softmax_cross_entropy on bias-augmented features and one-hot targets."""
-    n = augmented.shape[0]
-    logits = augmented @ weights.T
-    logits -= logits.max(axis=1, keepdims=True)
+def _cross_entropy(weights, design, onehot, targets, penalty):
+    """softmax_cross_entropy on the transposed design and one-hot targets of
+    ``_design``.  Works class-major: the logits are (classes × n), so the
+    reductions over the few classes run along axis 0 across whole rows."""
+    n = design.shape[1]
+    logits = weights @ design
+    logits -= logits.max(axis=0)
     exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    picked = probs[np.arange(n), targets]
+    probs = exp / exp.sum(axis=0)
+    picked = probs[targets, np.arange(n)]
     loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-    grad = (probs - onehot).T @ augmented / n
+    probs -= onehot
+    grad = probs @ design.T / n
     if penalty:
         loss += penalty * float(np.sum(weights[:, :-1] ** 2))
         grad[:, :-1] += 2.0 * penalty * weights[:, :-1]
@@ -137,10 +156,10 @@ def train_linear_classifier(features: np.ndarray, targets: np.ndarray,
     present = np.unique(targets)
     if len(present) < 2:
         raise ValueError("training set must contain at least two classes")
-    augmented, onehot = _design(features, targets, num_classes)
+    design, onehot = _design(features, targets, num_classes)
     weights = np.zeros((num_classes, features.shape[1] + 1))
     for _ in range(iterations):
-        loss, grad = _cross_entropy(weights, augmented, onehot, targets, penalty)
+        loss, grad = _cross_entropy(weights, design, onehot, targets, penalty)
         if not np.isfinite(loss):
             raise RuntimeError("classifier loss went non-finite")
         weights -= learning_rate * grad
@@ -203,36 +222,71 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed=0,
            max_iter: int = 300) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding; best of ``restarts`` by
     within-cluster sum of squares.  An emptied cluster is re-seeded at the
-    point farthest from its assigned center."""
+    point farthest from its assigned center.
+
+    All restarts are seeded first, then each Lloyd step moves every restart
+    whose assignment still changes, with one distance GEMM and one one-hot
+    centre GEMM for all of them.
+    """
     points = np.asarray(points, dtype=np.float64)
     if k < 1 or k > points.shape[0]:
         raise ValueError("k must be between 1 and the number of points")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     rng = np.random.default_rng(seed)
     norms = np.sum(points ** 2, axis=1)
+    centers = np.stack([_kmeans_plus_plus(points, norms, k, rng) for _ in range(restarts)])
+    assignments = np.full((restarts, points.shape[0]), -1)
+    active = np.arange(restarts)
+    for _ in range(max_iter):
+        d2 = _restart_distances(points, norms, centers[active])
+        new = np.argmin(d2, axis=1)
+        onehot = (new[:, None, :] == np.arange(k)[:, None]).astype(np.float64)
+        counts = onehot.sum(axis=2)
+        moved = (onehot.reshape(len(active) * k, -1) @ points).reshape(len(active), k, -1)
+        moved /= np.maximum(counts, 1.0)[:, :, None]
+        for a in np.flatnonzero(counts.min(axis=1) == 0):
+            _reseed_step(points, d2[a], new[a], moved[a])
+        centers[active] = moved
+        changed = (new != assignments[active]).any(axis=1)
+        assignments[active] = new
+        active = active[changed]
+        if not len(active):
+            break
     best_assignment = None
     best_wcss = np.inf
-    for _ in range(restarts):
-        centers = _kmeans_plus_plus(points, norms, k, rng)
-        assignment = np.full(points.shape[0], -1)
-        for _ in range(max_iter):
-            d2 = _squared_distances(points, norms, centers)
-            new_assignment = np.argmin(d2, axis=1)
-            for c in range(k):
-                members = new_assignment == c
-                if members.any():
-                    centers[c] = points[members].mean(axis=0)
-                else:
-                    farthest = int(np.argmax(d2[np.arange(len(points)), new_assignment]))
-                    centers[c] = points[farthest]
-                    new_assignment[farthest] = c
-            if np.array_equal(new_assignment, assignment):
-                break
-            assignment = new_assignment
+    for assignment in assignments:
         wcss = within_cluster_ss(points, assignment)
         if wcss < best_wcss:
             best_wcss = wcss
             best_assignment = assignment
     return best_assignment
+
+
+def _restart_distances(points: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (restarts, k, n) from each of ``centers``
+    (restarts, k, d) to each point, by the formula of ``_squared_distances``."""
+    r, k, d = centers.shape
+    d2 = (-2.0 * centers.reshape(r * k, d)) @ points.T
+    d2 += norms
+    d2 = d2.reshape(r, k, -1)
+    d2 += np.sum(centers ** 2, axis=2)[:, :, None]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _reseed_step(points, d2, assignment, centers) -> None:
+    """One restart's centre update when a cluster came out empty: each
+    cluster in turn takes its members' mean, or, if it has none, the point
+    farthest from its assigned centre, which then joins it.  ``d2`` is the
+    (k, n) distance block; ``assignment`` and ``centers`` change in place."""
+    for c in range(len(centers)):
+        members = assignment == c
+        if members.any():
+            centers[c] = points[members].mean(axis=0)
+        else:
+            farthest = int(np.argmax(d2[assignment, np.arange(len(points))]))
+            centers[c] = points[farthest]
+            assignment[farthest] = c
 
 
 def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -272,6 +326,7 @@ def purity(assignment, labels) -> float:
     return float(table.max(axis=1).sum() / assignment.size)
 
 
+@_values_in_range()
 def project_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Project rows onto the top two principal components.
 
@@ -317,6 +372,7 @@ def project_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return out
 
 
+@_values_in_range()
 def run_classification_eval(features: np.ndarray, labels: np.ndarray,
                             ratios=(0.3, 0.5, 0.7), repeats: int = 10,
                             seed=7) -> EvalReport:
@@ -349,6 +405,7 @@ def run_classification_eval(features: np.ndarray, labels: np.ndarray,
     )
 
 
+@_values_in_range()
 def run_clustering_eval(features: np.ndarray, labels: np.ndarray, k: int | None = None,
                         runs: int = 10, restarts: int = 10, seed=7) -> EvalReport:
     """Repeated k-means scored against the labels with NMI and purity.
@@ -358,7 +415,9 @@ def run_clustering_eval(features: np.ndarray, labels: np.ndarray, k: int | None 
     """
     labels = np.asarray(labels)
     mask = labels >= 0
-    pts = np.asarray(features)[mask]
+    pts = np.asarray(features)
+    if not mask.all():  # a fully labeled embedding is clustered without a copy
+        pts = pts[mask]
     lab = labels[mask]
     if k is None:
         k = len(np.unique(lab))

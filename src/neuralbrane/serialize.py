@@ -1,7 +1,9 @@
 """Embedding table container and its text / binary file formats.
 
 Text format: a header line ``<n> <dim>`` followed by one line per node,
-``<node-id> <v_1> ... <v_dim>`` with 9 significant digits.
+``<node-id> <v_1> ... <v_dim>`` with 9 significant digits.  The text reader
+rejects rows past the header's count and repeated node ids; both readers
+reject non-finite values.
 
 Binary format (little-endian): magic ``NBRN``, version u32, n u32, dim u32,
 then n*dim row-major float64 values.  Rows are implicitly nodes 0..n-1.
@@ -84,7 +86,24 @@ def read_embedding_text(path) -> EmbeddingTable:
                 )
             ids[row] = int(toks[0])
             vectors[row] = [float(t) for t in toks[1:]]
+        for extra, line in enumerate(fh, n):
+            if line.strip():
+                raise SerializationError(
+                    f"{path}: row {extra} is past the {n} rows the header declares"
+                )
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if len(repeats):
+        row = int(repeats.min())
+        raise SerializationError(f"{path}: row {row} repeats node id {ids[row]}")
+    _check_finite(path, vectors)
     return EmbeddingTable(vectors=vectors, ids=ids)
+
+
+def _check_finite(path, vectors: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if len(bad):
+        raise SerializationError(f"{path}: row {bad[0]} holds a non-finite value")
 
 
 def write_nbrn(path, dims, blocks) -> None:
@@ -134,7 +153,9 @@ def write_embedding_binary(table: EmbeddingTable, path) -> None:
 
 def read_embedding_binary(path) -> EmbeddingTable:
     (n, dim), payload = read_nbrn(path, 2, lambda n, dim: n * dim)
-    return EmbeddingTable(vectors=payload.reshape(n, dim))
+    vectors = payload.reshape(n, dim)
+    _check_finite(path, vectors)
+    return EmbeddingTable(vectors=vectors)
 
 
 def read_embedding(path) -> EmbeddingTable:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here is written from the operation definitions with plain Python
-loops (and math.*), deliberately sharing no code with the package, so the
+loops (and math.*), or as the straightforward numpy form a faster package
+routine replaced, deliberately sharing no code with the package, so the
 tests compare two separately derived routes to the same quantities.
 """
 
@@ -141,6 +142,74 @@ def naive_wcss(points, assignment):
         for p in members:
             total += sum((p[k] - mean[k]) ** 2 for k in range(dim))
     return total
+
+
+def rowmajor_softmax_cross_entropy(weights, features, targets, num_classes, penalty):
+    """Softmax cross-entropy with (n × classes) logits, reduced along axis 1;
+    returns (loss, gradient) as ``evaluate.softmax_cross_entropy`` does."""
+    n = features.shape[0]
+    augmented = np.hstack([features, np.ones((n, 1))])
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), targets] = 1.0
+    logits = augmented @ weights.T
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), targets], 1e-300))))
+    grad = (probs - onehot).T @ augmented / n
+    loss += penalty * float(np.sum(weights[:, :-1] ** 2))
+    grad[:, :-1] += 2.0 * penalty * weights[:, :-1]
+    return loss, grad
+
+
+def naive_kmeans(points, k, restarts=10, seed=0, max_iter=300):
+    """One restart at a time: k-means++ seeding, then Lloyd steps with a
+    masked mean per cluster and an emptied cluster re-seeded at the point
+    farthest from its assigned center; best restart by within-cluster sum
+    of squares.  Draws the same random stream as ``evaluate.kmeans``."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    norms = np.sum(points ** 2, axis=1)
+
+    def distances(centers):
+        d2 = norms[:, None] - 2.0 * points @ centers.T + np.sum(centers ** 2, axis=1)[None, :]
+        return np.maximum(d2, 0.0)
+
+    rng = np.random.default_rng(seed)
+    best, best_wcss = None, math.inf
+    for _ in range(restarts):
+        centers = np.empty((k, points.shape[1]))
+        centers[0] = points[int(rng.integers(n))]
+        closest = distances(centers[:1]).ravel()
+        for c in range(1, k):
+            total = closest.sum()
+            if total <= 0:
+                centers[c] = points[int(rng.integers(n))]
+                continue
+            centers[c] = points[int(rng.choice(n, p=closest / total))]
+            closest = np.minimum(closest, distances(centers[c:c + 1]).ravel())
+        assignment = np.full(n, -1)
+        for _ in range(max_iter):
+            d2 = distances(centers)
+            new_assignment = np.argmin(d2, axis=1)
+            for c in range(k):
+                members = new_assignment == c
+                if members.any():
+                    centers[c] = points[members].mean(axis=0)
+                else:
+                    farthest = int(np.argmax(d2[np.arange(n), new_assignment]))
+                    centers[c] = points[farthest]
+                    new_assignment[farthest] = c
+            if np.array_equal(new_assignment, assignment):
+                break
+            assignment = new_assignment
+        wcss = 0.0
+        for c in np.unique(assignment):
+            members = points[assignment == c]
+            wcss += float(np.sum((members - members.mean(axis=0)) ** 2))
+        if wcss < best_wcss:
+            best, best_wcss = assignment, wcss
+    return best
 
 
 def fit_loglog_slope(x, y):

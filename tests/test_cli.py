@@ -217,6 +217,33 @@ class TestEvaluateCommand:
         assert f"{labels}:3:" in err
         assert problem in err
 
+    @pytest.mark.parametrize("rows, problem", [
+        (["0 1 2 3", "1 2 3 1", "2 3 1 2", "3 1 2 3", "4 nan 3 1"],
+         "row 4 holds a non-finite value"),
+        (["0 1 2 3", "1 2 3 1", "2 3 1 2", "3 1 2 3", "0 2 3 1"], "row 4 repeats node id 0"),
+        (["0 1e200 2 3", "1 2 3e200 1", "2 3 1 2e200", "3 1e200 2 3", "4 2 3e200 1"],
+         "embedding values are too large"),
+    ])
+    @pytest.mark.parametrize("task", ["classify", "cluster", "project"])
+    def test_bad_embedding_values_are_user_error(self, trained, tmp_path, capsys, task,
+                                                 rows, problem):
+        import warnings
+        _, labels = trained
+        emb = tmp_path / "bad_emb.txt"
+        emb.write_text("5 3\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["evaluate", "--embeddings", str(emb), "--labels", str(labels),
+                         "--task", task, "--ratios", "0.5", "--repeats", "2",
+                         "--report", str(out), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert problem in err
+        assert "Traceback" not in err and "internal error" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     def test_evaluate_determinism(self, trained, tmp_path, capsys):
         emb, labels = trained
         r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

@@ -42,6 +42,21 @@ class TestConfigKeys:
         assert main(["train", f"--config={config}"]) == 0
         assert (tmp_path / "emb.txt").exists()
 
+    def test_abbreviated_config_flag_is_ambiguous_on_train(self, toy_files, tmp_path, capsys):
+        config = write_config(tmp_path, toy_files)
+        assert main(["train", "--c", str(config)]) == 1
+        assert "ambiguous option: --c could match --config, --checkpoint" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "emb.txt").exists()
+
+    @pytest.mark.parametrize("flag", ["--c", "--conf"])
+    def test_unambiguous_abbreviation_is_not_ignored(self, tmp_path, capsys, flag):
+        config = tmp_path / "run.cfg"
+        config.write_text("task=cluster\n")
+        code = main(["evaluate", "--embeddings", str(tmp_path / "none.txt"), flag, str(config)])
+        assert code == 1
+        assert "write --config in full" in capsys.readouterr().err
+
     def test_flag_before_config_beats_file(self, toy_files, tmp_path, capsys):
         config = write_config(tmp_path, toy_files, "epochs=5")
         log_file = tmp_path / "log.csv"

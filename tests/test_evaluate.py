@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neuralbrane import evaluate
 from neuralbrane.evaluate import (
     kmeans,
     macro_f1,
@@ -17,11 +18,13 @@ from neuralbrane.evaluate import (
 )
 
 from .oracles import (
+    naive_kmeans,
     naive_macro_f1,
     naive_nmi,
     naive_purity,
     naive_wcss,
     relative_error,
+    rowmajor_softmax_cross_entropy,
 )
 
 
@@ -115,6 +118,16 @@ class TestLinearClassifier:
             predict_linear(w_base, X), predict_linear(w_shift, X + shift)
         )
 
+    def test_class_major_matches_row_major(self, rng):
+        for n, dim, classes in ((40, 5, 3), (300, 20, 6), (7, 3, 2)):
+            X = rng.normal(size=(n, dim))
+            y = rng.integers(0, classes, size=n)
+            weights = rng.normal(size=(classes, dim + 1))
+            loss, grad = softmax_cross_entropy(weights, X, y, classes, penalty=1e-3)
+            ref_loss, ref_grad = rowmajor_softmax_cross_entropy(weights, X, y, classes, 1e-3)
+            assert relative_error(loss, ref_loss) <= 1e-12
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
 
 class TestMacroF1:
     def test_perfect(self):
@@ -177,6 +190,46 @@ class TestKmeans:
     def test_invalid_k_rejected(self, rng):
         with pytest.raises(ValueError):
             kmeans(rng.normal(size=(3, 2)), 4)
+
+
+class TestBatchedKmeansMatchesPerRestartLoop:
+    """``kmeans`` moves all restarts together; ``naive_kmeans`` is the
+    one-restart-at-a-time loop it replaced.  The inputs keep clear of
+    distance near-ties, so rounding in the GEMMs cannot flip a choice."""
+
+    def test_blobs(self, rng):
+        X, _ = blobs(rng, [(-6.0, 0.0), (6.0, 1.0), (0.0, 7.0), (1.0, -6.0)], per_class=15,
+                     scale=1.0)
+        for seed in range(4):
+            assert np.array_equal(kmeans(X, 4, restarts=5, seed=seed),
+                                  naive_kmeans(X, 4, restarts=5, seed=seed))
+
+    def test_k_equals_n(self, rng):
+        X = rng.normal(size=(7, 3))
+        assert np.array_equal(kmeans(X, 7, restarts=3, seed=2),
+                              naive_kmeans(X, 7, restarts=3, seed=2))
+
+    def test_emptied_cluster_reseeded(self, monkeypatch):
+        # three distinct points for four clusters: seeding repeats a point, so
+        # a cluster comes out empty and is re-seeded at the farthest point
+        X = np.array([[0.0, 0.0]] * 3 + [[4.0, 0.0]] * 3 + [[0.0, 3.0]] * 2)
+        reseeds = []
+        real = evaluate._reseed_step
+
+        def counted(*args):
+            reseeds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(evaluate, "_reseed_step", counted)
+        for seed in range(3):
+            assert np.array_equal(kmeans(X, 4, restarts=3, seed=seed),
+                                  naive_kmeans(X, 4, restarts=3, seed=seed))
+        assert reseeds
+
+    def test_max_iter_one(self, rng):
+        X = rng.normal(size=(40, 3))
+        assert np.array_equal(kmeans(X, 5, restarts=4, seed=3, max_iter=1),
+                              naive_kmeans(X, 5, restarts=4, seed=3, max_iter=1))
 
 
 class TestClusterMetrics:

@@ -139,3 +139,31 @@ def test_text_writer_matches_per_value_format(tmp_path, rng):
         for i, row in zip(table.ids, table.vectors)
     )
     assert (tmp_path / "emb.txt").read_text() == expected
+
+
+@pytest.mark.parametrize("rows, problem", [
+    ("0 1 2\n1 3 4\n0 5 6\n", "row 2 repeats node id 0"),
+    ("0 1 2\n1 3 4\n2 5 6\n3 7 8\n", "row 3 is past the 3 rows"),
+    ("0 1 2\n1 nan 4\n2 5 6\n", "row 1 holds a non-finite value"),
+    ("0 1 2\n1 3 4\n2 5 -inf\n", "row 2 holds a non-finite value"),
+])
+def test_strict_text_reader(tmp_path, rows, problem):
+    path = tmp_path / "emb.txt"
+    path.write_text("3 2\n" + rows)
+    with pytest.raises(SerializationError, match=problem) as excinfo:
+        read_embedding(path)
+    assert str(path) in str(excinfo.value)
+
+
+def test_text_reader_allows_trailing_blank_lines(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("2 2\n0 1 2\n1 3 4\n\n")
+    assert read_embedding_text(path).node_count == 2
+
+
+def test_binary_reader_rejects_non_finite(tmp_path):
+    vectors = np.ones((3, 2))
+    vectors[1, 0] = np.nan
+    write_embedding_binary(EmbeddingTable(vectors=vectors), tmp_path / "emb.bin")
+    with pytest.raises(SerializationError, match="row 1 holds a non-finite value"):
+        read_embedding(tmp_path / "emb.bin")
