@@ -1,6 +1,6 @@
 """Attributed network embedding with a neural BPR ranking objective."""
 
-from .graph import AttributedGraph, GraphFormatError, load_graph, write_graph
+from .graph import AttributedGraph, GraphFormatError, Rows, load_graph, write_graph
 from .model import (
     ForwardTrace,
     ModelParameters,
@@ -22,6 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttributedGraph",
     "GraphFormatError",
+    "Rows",
     "load_graph",
     "write_graph",
     "AliasTable",

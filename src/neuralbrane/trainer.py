@@ -32,7 +32,7 @@ _NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 class TrainingDivergedError(RuntimeError):
-    """A gradient or update went non-finite; the epoch was aborted."""
+    """Training overflowed or went non-finite; the run was aborted."""
 
 
 @dataclass
@@ -53,12 +53,12 @@ class TrainConfig:
         for name in ("d1", "d2", "hidden", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.reg < 0:
-            raise ValueError("reg must be non-negative")
-        if self.convergence_tol < 0:
-            raise ValueError("convergence_tol must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, not {self.learning_rate}")
+        for name in ("reg", "convergence_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, not {value}")
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"pooling must be one of {POOLING_MODES}")
         if self.grad_agg not in ("mean", "sum"):
@@ -241,13 +241,36 @@ def apply_update(params: ModelParameters, grads: GradientSet, learning_rate: flo
     params.b -= grads.b_grad
 
 
+def _run_epoch(params: ModelParameters, g: AttributedGraph, sampler: TripletSampler,
+               cfg: TrainConfig, triplets: int) -> tuple[float, float]:
+    """Sample, backpropagate and update over ``triplets`` triplets in batches;
+    returns the summed ranking loss and L2 term."""
+    epoch_bpr = 0.0
+    epoch_reg = 0.0
+    remaining = triplets
+    while remaining > 0:
+        batch = sampler.sample_batch(min(cfg.batch_size, remaining))
+        remaining -= len(batch)
+        grads, losses = batch_gradients(params, g, batch, cfg.reg, cfg.pooling)
+        for bpr, reg_term in losses:
+            epoch_bpr += bpr
+            epoch_reg += reg_term
+        if cfg.grad_agg == "mean":
+            grads.scale(1.0 / len(batch))
+        apply_update(params, grads, cfg.learning_rate)
+        del grads  # spent; free its blocks before the next batch builds its own
+    return epoch_bpr, epoch_reg
+
+
 def train(g: AttributedGraph, cfg: TrainConfig) -> tuple[ModelParameters, TrainLog]:
     """Run the sample / forward / backprop / update loop until the epoch loss
     stabilizes (relative change below ``convergence_tol``) or ``epochs`` pass.
 
     One epoch draws as many triplets as there are undirected edges.  Fully
     deterministic for a fixed seed: the parameter init and the triplet stream
-    use independent substreams spawned from ``cfg.seed``.
+    use independent substreams spawned from ``cfg.seed``.  An epoch that
+    overflows or leaves a non-finite loss or parameter raises
+    TrainingDivergedError.
     """
     if g.edge_count == 0:
         raise ValueError("cannot train on a graph with no edges")
@@ -262,26 +285,16 @@ def train(g: AttributedGraph, cfg: TrainConfig) -> tuple[ModelParameters, TrainL
     previous = None
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        epoch_bpr = 0.0
-        epoch_reg = 0.0
-        remaining = triplets_per_epoch
-        while remaining > 0:
-            batch = sampler.sample_batch(min(cfg.batch_size, remaining))
-            remaining -= len(batch)
-            grads, losses = batch_gradients(params, g, batch, cfg.reg, cfg.pooling)
-            for bpr, reg_term in losses:
-                epoch_bpr += bpr
-                epoch_reg += reg_term
-            if cfg.grad_agg == "mean":
-                grads.scale(1.0 / len(batch))
-            apply_update(params, grads, cfg.learning_rate)
-            del grads  # spent; free its blocks before the next batch builds its own
-
-        total = epoch_bpr + epoch_reg
-        if not math.isfinite(total):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                epoch_bpr, epoch_reg = _run_epoch(params, g, sampler, cfg, triplets_per_epoch)
+            total = epoch_bpr + epoch_reg
+            if not (math.isfinite(total) and params.all_finite()):
+                raise FloatingPointError("non-finite loss or parameters")
+        except (FloatingPointError, TrainingDivergedError) as exc:
             raise TrainingDivergedError(
-                f"epoch {epoch} loss is {total}; lower the learning rate"
-            )
+                f"training diverged at epoch {epoch} (lr {cfg.learning_rate:g}); lower --lr"
+            ) from exc
         tlog.bpr_loss.append(epoch_bpr)
         tlog.reg_loss.append(epoch_reg)
         tlog.seconds.append(time.perf_counter() - started)
@@ -296,7 +309,4 @@ def train(g: AttributedGraph, cfg: TrainConfig) -> tuple[ModelParameters, TrainL
                 log.info("converged at epoch %d (relative change %.2e)", epoch, change)
                 break
         previous = total
-
-    if not params.all_finite():
-        raise TrainingDivergedError("parameters went non-finite during training")
     return params, tlog

@@ -1,8 +1,12 @@
+import re
+
 import pytest
 
 from neuralbrane.cli import main
+from neuralbrane.graph import write_graph
 from neuralbrane.model import init_parameters, save_checkpoint
 from neuralbrane.serialize import read_embedding
+from neuralbrane.synthetic import planted_partition
 
 
 def train_args(paths, out, extra=()):
@@ -286,14 +290,38 @@ class TestExitCodes:
     def test_bad_choice_is_user_error(self, toy_files, tmp_path, capsys):
         assert main(train_args(toy_files, tmp_path / "x", ["--pooling", "avg"])) == 1
 
-    def test_divergence_is_internal_error(self, toy_files, tmp_path, capsys):
+    @pytest.mark.parametrize("planted, lr", [(False, "1e12"), (True, "1e30")],
+                             ids=["toy", "planted-120"])
+    def test_divergence_is_user_error(self, toy_files, tmp_path, capsys, planted, lr):
         import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(train_args(toy_files, tmp_path / "x",
-                                   ["--lr", "1e12", "--epochs", "8"]))
-        assert code == 2
-        assert "internal error" in capsys.readouterr().err
+        paths = toy_files
+        if planted:
+            paths = [tmp_path / name for name in ("e.txt", "a.txt", "l.txt")]
+            write_graph(planted_partition(nodes=120, seed=0), *paths)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(train_args(paths, tmp_path / "x", ["--lr", lr, "--epochs", "8"]))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.search(r"error: training diverged at epoch \d+ ", err)
+        assert f"(lr {float(lr):g}); lower --lr" in err
+        assert "internal error" not in err and "Traceback" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--lr", "nan", "learning_rate"),
+        ("--lr", "inf", "learning_rate"),
+        ("--lambda", "nan", "reg"),
+        ("--lambda", "inf", "reg"),
+        ("--tol", "nan", "convergence_tol"),
+    ])
+    def test_non_finite_hyperparameter_is_user_error(self, toy_files, tmp_path, capsys,
+                                                     flag, value, field):
+        assert main(train_args(toy_files, tmp_path / "x", [flag, value])) == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must be" in err and "internal error" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_log_level_env_var(self, toy_files, tmp_path, capsys, monkeypatch):
         import logging

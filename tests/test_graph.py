@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neuralbrane.graph import (
-    AttributedGraph, GraphFormatError, _pair_order, load_graph, write_graph,
+    AttributedGraph, GraphFormatError, Rows, _pair_order, from_edges, load_graph, write_graph,
 )
 
 from .conftest import TOY_EDGES, write_toy_files
@@ -15,12 +15,10 @@ from .conftest import TOY_EDGES, write_toy_files
 def graphs_equal(a: AttributedGraph, b: AttributedGraph) -> bool:
     if (a.node_count, a.attribute_count) != (b.node_count, b.attribute_count):
         return False
-    for u in range(a.node_count):
-        if not np.array_equal(a.neighbors[u], b.neighbors[u]):
-            return False
-        if not np.array_equal(a.weights[u], b.weights[u]):
-            return False
-        if not np.array_equal(a.attributes[u], b.attributes[u]):
+    for key in ("neighbors", "weights", "attributes"):
+        rows_a, rows_b = getattr(a, key), getattr(b, key)
+        if not (np.array_equal(rows_a.indptr, rows_b.indptr)
+                and np.array_equal(rows_a.values, rows_b.values)):
             return False
     if (a.labels is None) != (b.labels is None):
         return False
@@ -118,6 +116,21 @@ class TestLoadGraph:
         assert g.labeled_nodes().tolist() == [1]
 
 
+class TestRows:
+    def test_rows_are_views_of_the_flat_values(self, toy_graph):
+        rows = toy_graph.neighbors
+        assert len(rows) == toy_graph.node_count
+        assert [rows[u].tolist() for u in range(len(rows))] == [
+            rows.values[a:b].tolist() for a, b in zip(rows.indptr[:-1], rows.indptr[1:])]
+        assert rows[1].base is rows.values
+        assert rows.owners().tolist() == np.repeat(np.arange(5), [2, 3, 2, 3, 2]).tolist()
+
+    @pytest.mark.parametrize("u", [-1, 5])
+    def test_index_outside_the_rows_raises(self, toy_graph, u):
+        with pytest.raises(IndexError):
+            toy_graph.attributes[u]
+
+
 class TestDegreeVector:
     def test_toy_node_b(self, toy_graph):
         assert toy_graph.degree_vector()[1] == 3
@@ -181,11 +194,40 @@ class TestInvariants:
         assert graphs_equal(g, reloaded)
         assert g.degree_vector().sum() == 2 * g.edge_count
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_from_edges_round_trip(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 9))
+        m = data.draw(st.integers(1, 6))
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        # each edge once, in either direction; attribute pairs may repeat
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique_by=lambda p: frozenset(p),
+                                    max_size=len(pairs))) if pairs else []
+        edges = np.array(chosen, dtype=np.int64).reshape(-1, 2)
+        weights = np.array([data.draw(st.floats(0.01, 1e6)) for _ in chosen])
+        attrs = np.array(data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                      st.integers(0, m - 1)))),
+                         dtype=np.int64).reshape(-1, 2)
+        labels = np.array(data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)))
+        g = from_edges(n, m, edges[:, 0], edges[:, 1], weights, attrs[:, 0], attrs[:, 1],
+                       labels)
+        assert g.weights.indptr is g.neighbors.indptr
+        directory = tmp_path_factory.mktemp("from_edges")
+        paths = [directory / name for name in ("e.txt", "a.txt", "l.txt")]
+        write_graph(g, *paths)
+        reloaded = load_graph(*paths, node_count=n, attribute_count=m)
+        assert graphs_equal(g, reloaded)
+
+
+def _rows(lists, dtype) -> Rows:
+    return Rows(np.cumsum([0, *map(len, lists)]),
+                np.array([x for row in lists for x in row], dtype=dtype))
+
 
 def _path_graph(edits=None) -> AttributedGraph:
     """Path 0-1-2-3 with weights 1, 2, 3 and three attributes.  ``edits``
-    replaces a count, or maps a per-node field to {node: new list}, where
-    None deletes the node's entry."""
+    replaces a count, maps a per-node field to {node: new list}, where None
+    deletes the node's entry, or maps ``"<field>.indptr"`` to new offsets."""
     fields = dict(
         node_count=4,
         attribute_count=3,
@@ -193,17 +235,22 @@ def _path_graph(edits=None) -> AttributedGraph:
         weights=[[1.0], [1.0, 2.0], [2.0, 3.0], [3.0]],
         attributes=[[0], [0, 2], [1], []],
     )
+    offsets = {}
     for key, change in (edits or {}).items():
-        if isinstance(change, dict):
+        if key.endswith(".indptr"):
+            offsets[key.split(".")[0]] = np.array(change)
+        elif isinstance(change, dict):
             fields[key] = [change.get(u, row) for u, row in enumerate(fields[key])]
         else:
             fields[key] = change
-    arrays = {
-        key: tuple(np.array(row, dtype=np.float64 if key == "weights" else np.int64)
-                   for row in fields[key] if row is not None)
+    rows = {
+        key: _rows([row for row in fields[key] if row is not None],
+                   np.float64 if key == "weights" else np.int64)
         for key in ("neighbors", "weights", "attributes")
     }
-    return AttributedGraph(fields["node_count"], fields["attribute_count"], **arrays)
+    for key, indptr in offsets.items():
+        rows[key] = Rows(indptr, rows[key].values)
+    return AttributedGraph(fields["node_count"], fields["attribute_count"], **rows)
 
 
 VALIDATE_REJECTIONS = {
@@ -221,6 +268,15 @@ VALIDATE_REJECTIONS = {
     "attribute order": ({"attributes": {1: [2, 0]}}, "node 1: attributes not strictly sorted"),
     "reverse": ({"neighbors": {3: []}, "weights": {3: []}}, "edge (2, 3) missing reverse direction"),
     "weight symmetry": ({"weights": {3: [4.0]}}, "edge (2, 3) has asymmetric weights"),
+    # offset rules; the valid offsets are [0, 1, 3, 5, 6] for neighbors and
+    # weights and [0, 1, 3, 4, 4] for attributes
+    "offset count": ({"neighbors.indptr": [0, 1, 3, 6]}, "adjacency length does not match"),
+    "offset start": ({"attributes.indptr": [1, 1, 3, 4, 4]},
+                     "attribute offsets start at 1, not 0"),
+    "offset order": ({"neighbors.indptr": [0, 2, 1, 5, 6]}, "node 1: neighbor offsets decrease"),
+    "offset end": ({"weights.indptr": [0, 1, 3, 5, 5]}, "weight offsets end at 5, not at the 6"),
+    "weight offsets": ({"weights.indptr": [0, 2, 3, 5, 6]},
+                       "node 0: neighbor/weight length mismatch"),
 }
 
 
@@ -233,6 +289,13 @@ class TestValidate:
         edits, message = VALIDATE_REJECTIONS[case]
         with pytest.raises(GraphFormatError, match=re.escape(message)):
             _path_graph(edits).validate()
+
+    def test_from_edges_rejects_node_id_past_n(self):
+        one = np.array([1])
+        with pytest.raises(GraphFormatError, match="neighbor offsets end at 1, not at the 2"):
+            from_edges(3, 2, np.array([0]), np.array([5]), np.ones(1), one, one)
+        with pytest.raises(GraphFormatError, match="attribute offsets end at 0, not at the 1"):
+            from_edges(3, 2, np.array([0]), one, np.ones(1), np.array([7]), one)
 
 
 class TestPairOrder:

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralbrane.graph import load_graph
+from neuralbrane.graph import Rows, load_graph
 from neuralbrane.model import (
     INIT_STDDEV,
     bpr_probability,
@@ -15,10 +16,8 @@ from neuralbrane.model import (
     forward,
     hidden,
     init_parameters,
-    integrate,
     sigmoid,
     similarity,
-    split_integrated,
 )
 from neuralbrane.synthetic import planted_partition
 
@@ -56,19 +55,19 @@ class TestEncoding:
         params = init_parameters(5, 7, 2, 2, 3, seed=0)
         params.P[1] = [1.0, 3.0]
         params.P[5] = [4.0, 2.0]
-        v, winners = encode_attributes(params, toy_graph, 1)  # A(b) = {1, 5}
+        v, winners = encode_attributes(params, toy_graph.attributes[1])  # A(b) = {1, 5}
         assert v.tolist() == [4.0, 3.0]
         assert winners.tolist() == [1, 0]
 
     def test_single_attribute_is_identity(self, toy_graph):
         params = init_parameters(5, 7, 4, 2, 3, seed=1)
-        v, winners = encode_attributes(params, toy_graph, 4)  # A(e) = {4}
+        v, winners = encode_attributes(params, toy_graph.attributes[4])  # A(e) = {4}
         np.testing.assert_array_equal(v, params.P[4])
         assert winners.tolist() == [0, 0, 0, 0]
 
     def test_toy_node_b_neighbors(self, toy_graph):
         params = init_parameters(5, 7, 2, 3, 3, seed=2)
-        v, winners = encode_neighbors(params, toy_graph, 1)  # N(b) = {0, 2, 3}
+        v, winners = encode_neighbors(params, toy_graph.neighbors[1])  # N(b) = {0, 2, 3}
         expected = params.P_prime[[0, 2, 3]].max(axis=0)
         np.testing.assert_array_equal(v, expected)
         assert all(0 <= w < 3 for w in winners)
@@ -78,15 +77,15 @@ class TestEncoding:
         (tmp_path / "a.txt").write_text("0 1\n1 0\n2\n")
         g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
         params = init_parameters(3, 2, 2, 2, 3, seed=0)
-        v, winners = encode_neighbors(params, g, 2)
+        v, winners = encode_neighbors(params, g.neighbors[2])
         assert v.tolist() == [0.0, 0.0]
         assert winners.size == 0
-        v, winners = encode_attributes(params, g, 2)
+        v, winners = encode_attributes(params, g.attributes[2])
         assert v.tolist() == [0.0, 0.0]
 
     def test_sum_pooling(self, toy_graph):
         params = init_parameters(5, 7, 3, 3, 4, seed=5)
-        v, winners = encode_attributes(params, toy_graph, 1, pooling="sum")
+        v, winners = encode_attributes(params, toy_graph.attributes[1], pooling="sum")
         np.testing.assert_allclose(v, params.P[[1, 5]].sum(axis=0))
         assert winners.size == 0
 
@@ -119,12 +118,6 @@ class TestEncoding:
 
 
 class TestForward:
-    def test_integrate_concatenates(self):
-        f = integrate(np.array([1.0, 2.0]), np.array([3.0]))
-        assert f.tolist() == [1.0, 2.0, 3.0]
-        va, vn = split_integrated(f, 2)
-        assert va.tolist() == [1.0, 2.0] and vn.tolist() == [3.0]
-
     def test_hidden_relu(self):
         params = init_parameters(2, 2, 1, 1, 2, seed=0)
         params.W = np.eye(2)
@@ -156,6 +149,7 @@ class TestForward:
         assert trace.nbr_rows.tolist() == [0, 2, 3]
         assert np.all(trace.h_vec >= 0)
         assert trace.f[:3].tolist() == params.P[[1, 5]].max(axis=0).tolist()
+        assert trace.f[3:].tolist() == params.P_prime[[0, 2, 3]].max(axis=0).tolist()
 
     def test_forward_pure(self, toy_graph):
         params = init_parameters(5, 7, 3, 3, 4, seed=7)
@@ -204,6 +198,13 @@ class TestSimilarityAndRanking:
             assert abs(base - shifted) < 1e-12
 
 
+def reversed_rows(rows: Rows) -> Rows:
+    """The same rows, each one's entries in reverse order."""
+    owner = rows.owners()
+    flipped = rows.indptr[owner] + rows.indptr[owner + 1] - 1 - np.arange(len(owner))
+    return Rows(rows.indptr, rows.values[flipped])
+
+
 class TestEmbedAll:
     def test_identical_context_identical_rows(self, tmp_path):
         # nodes 0 and 1 share the same neighborhood {2} and attribute set {0}
@@ -240,13 +241,10 @@ class TestEmbedAll:
         g = planted_partition(nodes=12, attributes=8, seed=2)
         params = init_parameters(12, 8, 4, 4, 5, seed=5)
         base = embed_all(params, g).vectors
-        shuffled = type(g)(
-            node_count=g.node_count,
-            attribute_count=g.attribute_count,
-            neighbors=tuple(n[::-1].copy() for n in g.neighbors),
-            weights=tuple(w[::-1].copy() for w in g.weights),
-            attributes=tuple(a[::-1].copy() for a in g.attributes),
-            labels=g.labels,
-        )
+        keys = ("neighbors", "weights", "attributes")
+        shuffled = replace(g, **{key: reversed_rows(getattr(g, key)) for key in keys})
+        for key in keys:
+            for u in range(g.node_count):
+                assert getattr(shuffled, key)[u].tolist() == getattr(g, key)[u].tolist()[::-1]
         again = embed_all(params, shuffled).vectors
         np.testing.assert_allclose(base, again, atol=0)

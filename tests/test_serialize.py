@@ -146,6 +146,8 @@ def test_text_writer_matches_per_value_format(tmp_path, rng):
     ("0 1 2\n1 3 4\n2 5 6\n3 7 8\n", "row 3 is past the 3 rows"),
     ("0 1 2\n1 nan 4\n2 5 6\n", "row 1 holds a non-finite value"),
     ("0 1 2\n1 3 4\n2 5 -inf\n", "row 2 holds a non-finite value"),
+    ("0 1 2\n1 0.1 abc\n2 5 6\n", "row 1 holds a bad number .*'abc'"),
+    ("0 1 2\nx 3 4\n2 5 6\n", "row 1 holds a bad number .*'x'"),
 ])
 def test_strict_text_reader(tmp_path, rows, problem):
     path = tmp_path / "emb.txt"

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from neuralbrane.graph import Rows
 from neuralbrane.model import forward, init_parameters
 from neuralbrane.sampler import Triplet, TripletSampler
 from neuralbrane.synthetic import gnm_random_graph, planted_partition
@@ -180,7 +181,10 @@ class TestBatchGradients:
         # 12 nodes and 6 attributes, so a batch of 25 repeats nodes and rows
         # across triplets; node 0 has no attributes and anchors a triplet
         g = gnm_random_graph(nodes=12, edges=24, attributes=6, attrs_per_node=3, seed=seed)
-        g = replace(g, attributes=(np.empty(0, dtype=np.int64),) + g.attributes[1:])
+        attrs = g.attributes
+        g = replace(g, attributes=Rows(np.maximum(attrs.indptr - attrs.indptr[1], 0),
+                                       attrs.values[attrs.indptr[1]:]))
+        assert len(g.attributes[0]) == 0 and len(g.attributes[1]) > 0
         params = init_parameters(12, 6, 3, 4, 5, seed=seed)
         batch = TripletSampler(g, seed=seed).sample_batch(24)
         positive = int(g.neighbors[0][0])
