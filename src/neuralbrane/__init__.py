@@ -12,7 +12,7 @@ from .model import (
     save_checkpoint,
     similarity,
 )
-from .sampler import AliasTable, SamplingError, Triplet, TripletSampler
+from .sampler import SamplingError, Triplet, TripletSampler
 from .serialize import EmbeddingTable, read_embedding, write_embedding_text
 from .trainer import GradientSet, TrainConfig, TrainLog, train, triplet_gradients, triplet_loss
 from .evaluate import EvalReport, run_classification_eval, run_clustering_eval
@@ -25,7 +25,6 @@ __all__ = [
     "Rows",
     "load_graph",
     "write_graph",
-    "AliasTable",
     "SamplingError",
     "Triplet",
     "TripletSampler",

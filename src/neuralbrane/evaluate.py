@@ -381,6 +381,8 @@ def run_classification_eval(features: np.ndarray, labels: np.ndarray,
     ``features`` rows must align with ``labels``; unlabeled entries (-1) are
     ignored.  Splits are seeded deterministically per (ratio, repeat).
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, not {repeats}")
     labels = np.asarray(labels)
     num_classes = int(labels.max()) + 1
     means, stds, runs_per_ratio = [], [], []
@@ -413,6 +415,8 @@ def run_clustering_eval(features: np.ndarray, labels: np.ndarray, k: int | None 
     k defaults to the number of distinct labels.  Metrics are averaged over
     ``runs`` independently seeded executions.
     """
+    if runs < 1:
+        raise ValueError(f"runs (--repeats) must be at least 1, not {runs}")
     labels = np.asarray(labels)
     mask = labels >= 0
     pts = np.asarray(features)

@@ -132,14 +132,21 @@ class AttributedGraph:
         # strictly, so each edge's reverse is found by binary search
         if len(nbrs) == 0:
             return
-        keys, reverse = owner * n + nbrs, nbrs * n + owner
-        pos = np.minimum(np.searchsorted(keys, reverse), len(keys) - 1)
-        missing = keys[pos] != reverse
+        pos, found = locate(owner * n + nbrs, nbrs * n + owner)
+        missing = ~found
         bad = missing | (wts[pos] != wts)
         if bad.any():
             k = int(np.argmax(bad))
             problem = "missing reverse direction" if missing[k] else "has asymmetric weights"
             raise GraphFormatError(f"edge ({owner[k]}, {nbrs[k]}) {problem}")
+
+
+def locate(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each query sits in the ascending, non-empty ``keys`` (clamped to
+    the last entry), and whether it is there.  With ``u * n + v`` keys over the
+    stored directions of a valid graph, this tells which pairs are edges."""
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return pos, keys[pos] == query
 
 
 def _check_offsets(rows: Rows, kind: str) -> None:

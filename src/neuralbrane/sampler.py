@@ -2,8 +2,10 @@
 
 A triplet (u, i, j) pairs an anchor u with one of its neighbors i, drawn with
 probability proportional to the connecting edge weight, and a non-neighbor j,
-drawn with probability proportional to global node degree.  Both discrete
-distributions are served by alias tables so a draw costs O(1).
+drawn with probability proportional to global node degree.  Batches are drawn
+as arrays from the graph's CSR rows: a positive by inverse CDF inside u's own
+row, a negative as the neighbor column of a uniformly drawn adjacency entry
+(degree-proportional, as every edge is stored in both endpoints' rows).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import AttributedGraph
+from .graph import AttributedGraph, Rows, locate
 
 
 class SamplingError(ValueError):
@@ -25,131 +27,73 @@ class Triplet(NamedTuple):
     j: int
 
 
-class AliasTable:
-    """O(1) sampler for an arbitrary discrete distribution (Vose construction).
-
-    Built in O(size) from non-negative masses; a draw consumes two uniform
-    variates.  The induced distribution matches the normalized input masses
-    to within floating-point construction error.
-    """
-
-    __slots__ = ("size", "probabilities", "aliases")
-
-    def __init__(self, masses) -> None:
-        masses = np.asarray(masses, dtype=np.float64)
-        if masses.ndim != 1 or masses.size == 0:
-            raise SamplingError("alias table needs a non-empty 1-d mass vector")
-        if np.any(masses < 0) or not np.all(np.isfinite(masses)):
-            raise SamplingError("alias table masses must be finite and non-negative")
-        total = masses.sum()
-        if total <= 0:
-            raise SamplingError("alias table masses sum to zero")
-
-        size = masses.size
-        scaled = masses * (size / total)
-        prob = np.ones(size, dtype=np.float64)
-        alias = np.arange(size, dtype=np.int64)
-        small = [i for i in range(size) if scaled[i] < 1.0]
-        large = [i for i in range(size) if scaled[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            (small if scaled[l] < 1.0 else large).append(l)
-        for rest in (small, large):
-            while rest:
-                prob[rest.pop()] = 1.0
-
-        self.size = size
-        self.probabilities = prob
-        self.aliases = alias
-
-    def draw(self, rng: np.random.Generator) -> int:
-        idx = int(rng.integers(self.size))
-        if rng.random() < self.probabilities[idx]:
-            return idx
-        return int(self.aliases[idx])
-
-    def induced_probabilities(self) -> np.ndarray:
-        """Exact distribution the table realizes, reconstructed from its cells."""
-        p = self.probabilities.copy()
-        np.add.at(p, self.aliases, 1.0 - self.probabilities)
-        return p / self.size
-
-
-def build_positive_sampler(g: AttributedGraph, u: int) -> AliasTable:
-    """Alias table over N(u) with mass proportional to incident edge weights.
-
-    Draws are local indices into ``g.neighbors[u]``.
-    """
-    if len(g.neighbors[u]) == 0:
-        raise SamplingError(f"node {u} has no neighbors to sample from")
-    return AliasTable(g.weights[u])
-
-
-def build_negative_sampler(g: AttributedGraph) -> AliasTable:
-    """Global alias table over all nodes with mass proportional to degree."""
-    degrees = g.degree_vector()
-    if degrees.sum() == 0:
-        raise SamplingError("graph has no edges; negative sampling undefined")
-    return AliasTable(degrees.astype(np.float64))
-
-
 # negative draws rejected at most this many times before scanning all nodes
 _MAX_REJECTIONS = 100
 
 
-class TripletSampler:
-    """Deterministic triplet stream over a fixed graph.
+def _row_cdf(weights: Rows, owner: np.ndarray) -> np.ndarray:
+    """Each entry's running weight total over its row's total, by a segmented
+    (Hillis-Steele) scan: rows never mix, so no row's CDF depends on another's."""
+    cum = weights.values.astype(np.float64)
+    step = 1
+    while step < len(cum) and (same := owner[step:] == owner[:-step]).any():
+        cum[step:] += np.where(same, cum[:-step], 0.0)
+        step *= 2
+    return cum / cum[weights.indptr[owner + 1] - 1]
 
-    Anchors are drawn uniformly from nodes with at least one neighbor.
-    Positive alias tables are built lazily per anchor and cached; the
-    degree-proportional negative table is shared.  Each instance owns its
-    generator state, so independent streams need independent seeds.
-    """
+
+class TripletSampler:
+    """Deterministic triplet stream over a fixed graph, anchored uniformly on nodes with
+    neighbors.  Each instance owns its generator, so independent streams need own seeds."""
 
     def __init__(self, g: AttributedGraph, seed=0) -> None:
         if g.edge_count == 0:
             raise SamplingError("graph has no edges")
         self.graph = g
         self.rng = np.random.default_rng(seed)
-        self._negative = build_negative_sampler(g)
-        self._positive: dict[int, AliasTable] = {}
-        self._anchors = np.flatnonzero(g.degree_vector() > 0)
+        degrees, owner = g.degree_vector(), g.neighbors.owners()
+        self._anchors = np.flatnonzero(degrees > 0)
+        self._keys = owner * g.node_count + g.neighbors.values  # ascending
+        self._cdf = _row_cdf(g.weights, owner)
+        self._depth = int(degrees.max()).bit_length()  # binary-search steps per row
 
-    def _positive_table(self, u: int) -> AliasTable:
-        table = self._positive.get(u)
-        if table is None:
-            table = build_positive_sampler(self.graph, u)
-            self._positive[u] = table
-        return table
+    def _positives(self, u: np.ndarray) -> np.ndarray:
+        """Per anchor, the first row entry whose CDF exceeds a uniform draw."""
+        nbrs, r = self.graph.neighbors, self.rng.random(len(u))
+        lo, hi = nbrs.indptr[u], nbrs.indptr[u + 1] - 1
+        for _ in range(self._depth):
+            mid = (lo + hi) // 2
+            right = self._cdf[mid] <= r
+            lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+        return nbrs.values[lo]
 
-    def _sample_negative(self, u: int, i: int) -> int:
-        g = self.graph
+    def _negatives(self, u: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """Degree-drawn candidates, rejected while equal to u or i or adjacent
+        to u; after ``_MAX_REJECTIONS`` rounds, uniform over the allowed nodes."""
+        g, j, pending = self.graph, np.empty_like(u), np.arange(len(u))
         for _ in range(_MAX_REJECTIONS):
-            j = self._negative.draw(self.rng)
-            if j != u and j != i and not g.has_edge(u, j):
+            if len(pending) == 0:
                 return j
-        allowed = np.ones(g.node_count, dtype=bool)
-        allowed[g.neighbors[u]] = False
-        allowed[[u, i]] = False
-        candidates = np.flatnonzero(allowed)
-        if len(candidates) == 0:
-            raise SamplingError(
-                f"anchor {u} is adjacent to every other node; no negative exists"
-            )
-        return int(candidates[int(self.rng.integers(len(candidates)))])
+            cand = g.neighbors.values[self.rng.integers(len(self._keys), size=len(pending))]
+            pu = u[pending]
+            ok = ((cand != pu) & (cand != i[pending])
+                  & ~locate(self._keys, pu * g.node_count + cand)[1])
+            j[pending[ok]] = cand[ok]
+            pending = pending[~ok]
+        for k in pending.tolist():
+            allowed = np.ones(g.node_count, dtype=bool)
+            allowed[np.append(g.neighbors[u[k]], (u[k], i[k]))] = False
+            candidates = np.flatnonzero(allowed)
+            if len(candidates) == 0:
+                raise SamplingError(
+                    f"anchor {u[k]} is adjacent to every other node; no negative exists")
+            j[k] = candidates[self.rng.integers(len(candidates))]
+        return j
 
-    def sample_triplet(self) -> Triplet:
-        u = int(self._anchors[int(self.rng.integers(len(self._anchors)))])
-        local = self._positive_table(u).draw(self.rng)
-        i = int(self.graph.neighbors[u][local])
-        j = self._sample_negative(u, i)
-        return Triplet(u, i, j)
-
-    def sample_batch(self, batch_size: int) -> list[Triplet]:
+    def sample_batch(self, batch_size: int) -> np.ndarray:
+        """``batch_size`` triplets (u, i, j) as the rows of an int64 array."""
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        return [self.sample_triplet() for _ in range(batch_size)]
+        u = self._anchors[self.rng.integers(len(self._anchors), size=batch_size)]
+        i = self._positives(u)
+        return np.stack([u, i, self._negatives(u, i)], axis=1).astype(np.int64, copy=False)

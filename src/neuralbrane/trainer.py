@@ -106,9 +106,9 @@ class GradientSet:
         return all(np.isfinite(block).all() for block in self._blocks())
 
 
-def _looked_up(lists, batch) -> list[np.ndarray]:
+def _looked_up(lists, triplets) -> list[np.ndarray]:
     """Each triplet's distinct rows of one embedding matrix."""
-    return [np.unique(np.concatenate((lists[t.u], lists[t.i], lists[t.j]))) for t in batch]
+    return [np.unique(np.concatenate((lists[u], lists[i], lists[j]))) for u, i, j in triplets]
 
 
 class _RowBlock:
@@ -165,32 +165,34 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def _forward_triplet(params, g, t: Triplet, pooling: str):
-    tr_u = forward(params, g, t.u, pooling)
-    tr_i = forward(params, g, t.i, pooling)
-    tr_j = forward(params, g, t.j, pooling)
+def _forward_triplet(params, g, u: int, i: int, j: int, pooling: str):
+    tr_u = forward(params, g, u, pooling)
+    tr_i = forward(params, g, i, pooling)
+    tr_j = forward(params, g, j, pooling)
     margin = float(np.dot(tr_u.h_vec, tr_i.h_vec) - np.dot(tr_u.h_vec, tr_j.h_vec))
     return tr_u, tr_i, tr_j, margin
 
 
 def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
                     reg: float = 0.0, pooling: str = "max"):
-    """Exact gradients of the summed losses of a batch of triplets.
+    """Exact gradients of the summed losses of a batch of triplets, given as
+    (u, i, j) rows (a ``sample_batch`` array, or a sequence of Triplets).
 
     Returns the GradientSet and each triplet's (ranking loss, L2 term) in
     batch order.  A row looked up by k triplets carries k times its L2
     gradient; W and b carry it once per triplet.
     """
-    attr_sets = _looked_up(g.attributes, batch)
-    nbr_sets = _looked_up(g.neighbors, batch)
+    triplets = np.asarray(batch, dtype=np.int64).tolist()
+    attr_sets = _looked_up(g.attributes, triplets)
+    nbr_sets = _looked_up(g.neighbors, triplets)
     attr = _RowBlock(params.P, attr_sets, reg)
     nbr = _RowBlock(params.P_prime, nbr_sets, reg)
     w_grad = np.zeros_like(params.W)
     b_grad = np.zeros_like(params.b)
     losses = []
     dense_l2 = float(np.sum(params.W ** 2)) + float(np.sum(params.b ** 2))
-    for t, attr_rows, nbr_rows in zip(batch, attr_sets, nbr_sets):
-        tr_u, tr_i, tr_j, margin = _forward_triplet(params, g, t, pooling)
+    for (u, i, j), attr_rows, nbr_rows in zip(triplets, attr_sets, nbr_sets):
+        tr_u, tr_i, tr_j, margin = _forward_triplet(params, g, u, i, j, pooling)
         delta = sigmoid(margin) - 1.0  # d/d(margin) of -ln sigmoid(margin)
         grads_h = ((tr_u, delta * (tr_i.h_vec - tr_j.h_vec)),
                    (tr_i, delta * tr_u.h_vec),
@@ -208,8 +210,8 @@ def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
                         + float(np.sum(params.P_prime[nbr_rows] ** 2)))
         losses.append((_softplus(-margin), l2))
 
-    w_grad += 2.0 * reg * len(batch) * params.W
-    b_grad += 2.0 * reg * len(batch) * params.b
+    w_grad += 2.0 * reg * len(triplets) * params.W
+    b_grad += 2.0 * reg * len(triplets) * params.b
     return GradientSet(attr.ids, attr.grad, nbr.ids, nbr.grad, w_grad, b_grad), losses
 
 

@@ -248,6 +248,33 @@ class TestEvaluateCommand:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    @pytest.mark.parametrize("command, name", [
+        ("classify", "repeats"), ("cluster", "runs (--repeats)"), ("ablate-pooling", "repeats"),
+    ])
+    def test_no_repeats_is_user_error(self, trained, toy_files, tmp_path, capsys, command,
+                                      name, repeats):
+        import warnings
+        emb, labels = trained
+        out = tmp_path / "out.csv"
+        if command == "ablate-pooling":
+            edge_path, attr_path, _ = toy_files
+            argv = ["ablate-pooling", "--edges", str(edge_path), "--attr-file", str(attr_path),
+                    "--label-file", str(labels), "--d1", "2", "--d2", "2", "--hidden", "2",
+                    "--epochs", "1", "--out", str(out)]
+        else:
+            argv = ["evaluate", "--embeddings", str(emb), "--labels", str(labels),
+                    "--task", command, "--report", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--repeats", repeats])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{name} must be at least 1, not {repeats}" in err
+        assert "Traceback" not in err and "internal error" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     def test_evaluate_determinism(self, trained, tmp_path, capsys):
         emb, labels = trained
         r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

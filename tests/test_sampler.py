@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neuralbrane.graph import load_graph
-from neuralbrane.sampler import (
-    AliasTable,
-    SamplingError,
-    TripletSampler,
-    build_negative_sampler,
-    build_positive_sampler,
-)
+from neuralbrane.graph import from_edges, load_graph
+from neuralbrane.sampler import SamplingError, TripletSampler, _row_cdf
 
 # chi-square upper critical values at significance 0.001
 CHI2_CRIT = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467}
@@ -21,129 +17,133 @@ def chi_square_stat(counts, expected):
     return float(np.sum((counts[keep] - expected[keep]) ** 2 / expected[keep]))
 
 
-def path_graph(tmp_path):
-    (tmp_path / "e.txt").write_text("0 1\n1 2\n")
-    (tmp_path / "a.txt").write_text("0\n1\n2\n")
+def graph_from_text(tmp_path, edges, attrs="0\n"):
+    (tmp_path / "e.txt").write_text(edges)
+    (tmp_path / "a.txt").write_text(attrs)
     return load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
 
 
-class TestAliasTable:
-    def test_induced_distribution_matches_masses(self, rng):
-        for _ in range(50):
-            size = int(rng.integers(1, 40))
-            masses = rng.random(size) * rng.choice([0.01, 1.0, 100.0])
-            masses[rng.random(size) < 0.2] = 0.0
-            if masses.sum() == 0:
-                masses[0] = 1.0
-            table = AliasTable(masses)
-            np.testing.assert_allclose(
-                table.induced_probabilities(), masses / masses.sum(), atol=1e-12
-            )
+def path_graph(tmp_path):
+    return graph_from_text(tmp_path, "0 1\n1 2\n", "0\n1\n2\n")
 
-    def test_single_outcome(self, rng):
-        table = AliasTable([3.7])
-        assert all(table.draw(rng) == 0 for _ in range(100))
 
-    def test_zero_mass_never_drawn(self, rng):
-        table = AliasTable([0.0, 1.0, 3.0])
-        draws = np.array([table.draw(rng) for _ in range(100_000)])
-        assert np.sum(draws == 0) == 0
-        counts = [np.sum(draws == k) for k in (1, 2)]
-        assert chi_square_stat(counts, [25_000, 75_000]) < CHI2_CRIT[1]
-
-    def test_invalid_masses_rejected(self):
-        with pytest.raises(SamplingError):
-            AliasTable([])
-        with pytest.raises(SamplingError):
-            AliasTable([0.0, 0.0])
-        with pytest.raises(SamplingError):
-            AliasTable([1.0, -0.5])
+def column_counts(batch, anchor, column, outcomes):
+    """How often each outcome fills ``column`` in the rows anchored at ``anchor``."""
+    picks = batch[batch[:, 0] == anchor, column]
+    return [int(np.sum(picks == v)) for v in outcomes], len(picks)
 
 
 class TestPositiveSampler:
-    def test_uniform_over_equal_weights(self, toy_graph, rng):
-        table = build_positive_sampler(toy_graph, 1)  # N(b) = {a, c, d}, weights 1
-        np.testing.assert_allclose(table.induced_probabilities(), [1 / 3] * 3, atol=1e-12)
+    def test_uniform_over_equal_weights(self, toy_graph):
+        batch = TripletSampler(toy_graph, seed=2).sample_batch(30_000)
+        counts, total = column_counts(batch, 1, 1, (0, 2, 3))  # N(b) = {a, c, d}, weights 1
+        assert sum(counts) == total
+        assert chi_square_stat(counts, [total / 3] * 3) < CHI2_CRIT[2]
 
-    def test_weighted_draw_frequencies(self, tmp_path, rng):
-        (tmp_path / "e.txt").write_text("0 1 1.0\n0 2 3.0\n")
-        (tmp_path / "a.txt").write_text("0\n")
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
-        table = build_positive_sampler(g, 0)
-        draws = np.array([table.draw(rng) for _ in range(100_000)])
-        counts = [np.sum(draws == k) for k in (0, 1)]
-        assert chi_square_stat(counts, [25_000, 75_000]) < CHI2_CRIT[1]
+    def test_weighted_draw_frequencies(self, tmp_path):
+        g = graph_from_text(tmp_path, "0 1 1.0\n0 2 3.0\n3 4 1.0\n")
+        batch = TripletSampler(g, seed=4).sample_batch(30_000)
+        counts, total = column_counts(batch, 0, 1, (1, 2))
+        assert chi_square_stat(counts, [total * 0.25, total * 0.75]) < CHI2_CRIT[1]
 
-    def test_single_neighbor_probability_one(self, tmp_path, rng):
-        (tmp_path / "e.txt").write_text("0 1\n")
-        (tmp_path / "a.txt").write_text("0\n")
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
-        table = build_positive_sampler(g, 0)
-        assert all(table.draw(rng) == 0 for _ in range(50))
+    def test_single_neighbor_probability_one(self, tmp_path):
+        g = graph_from_text(tmp_path, "0 1\n2 3\n")
+        batch = TripletSampler(g, seed=1).sample_batch(200)
+        assert batch[:, 1].tolist() == [int(g.neighbors[u][0]) for u in batch[:, 0]]
 
     def test_empty_neighborhood_rejected(self, tmp_path):
-        (tmp_path / "e.txt").write_text("0 1\n")
-        (tmp_path / "a.txt").write_text("2\n")
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
-        with pytest.raises(SamplingError, match="no neighbors"):
-            build_positive_sampler(g, 2)
+        # node 2 has no neighbors, so it never anchors (nor is a positive); it
+        # is the only negative anchors 0 and 1 have, found by the fallback scan
+        g = graph_from_text(tmp_path, "0 1\n", "2\n")
+        batch = TripletSampler(g, seed=0).sample_batch(200)
+        assert set(batch[:, 0].tolist()) == {0, 1}
+        assert batch[:, 1].tolist() == (1 - batch[:, 0]).tolist()
+        assert set(batch[:, 2].tolist()) == {2}
+
+    def test_row_cdf_matches_weights(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 12))
+            pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+            pairs = pairs[rng.random(len(pairs)) < 0.6]
+            if len(pairs) == 0:
+                continue
+            weights = rng.random(len(pairs)) * 10.0 ** rng.integers(-8, 9, len(pairs))
+            g = from_edges(n, 1, pairs[:, 0], pairs[:, 1], weights, np.array([0]), np.array([0]))
+            cdf = _row_cdf(g.weights, g.neighbors.owners())
+            for u in range(n):
+                row = cdf[g.weights.indptr[u]:g.weights.indptr[u + 1]]
+                w = g.weights[u]
+                np.testing.assert_allclose(row, np.cumsum(w) / w.sum(), rtol=1e-12)
+                assert len(row) == 0 or row[-1] == 1.0
+
+    def test_row_probabilities_ignore_other_rows(self, tmp_path):
+        # a cumulative sum run across rows would put node 2's row at 2e16 and
+        # round its 1:3 weights to the local CDF [0, 4]: neighbor 3 never drawn
+        g = graph_from_text(tmp_path, "0 1 1e16\n2 3 1\n2 4 3\n")
+        batch = TripletSampler(g, seed=8).sample_batch(30_000)
+        counts, total = column_counts(batch, 2, 1, (3, 4))
+        assert sum(counts) == total
+        assert chi_square_stat(counts, [total * 0.25, total * 0.75]) < CHI2_CRIT[1]
 
 
 class TestNegativeSampler:
     def test_uniform_over_equal_degrees(self, tmp_path):
-        lines = [f"{u} {v}" for u in range(4) for v in range(u + 1, 4)]
-        (tmp_path / "e.txt").write_text("\n".join(lines))
-        (tmp_path / "a.txt").write_text("0\n")
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
-        table = build_negative_sampler(g)
-        np.testing.assert_allclose(table.induced_probabilities(), [0.25] * 4, atol=1e-12)
+        # two disjoint 4-cliques: an anchor's negatives are the other clique,
+        # every node of degree 3
+        lines = [f"{u + base} {v + base}" for base in (0, 4)
+                 for u in range(4) for v in range(u + 1, 4)]
+        g = graph_from_text(tmp_path, "\n".join(lines))
+        batch = TripletSampler(g, seed=6).sample_batch(30_000)
+        assert np.array_equal(batch[:, 0] < 4, batch[:, 2] >= 4)
+        counts, total = column_counts(batch, 0, 2, (4, 5, 6, 7))
+        assert chi_square_stat(counts, [total / 4] * 4) < CHI2_CRIT[3]
 
-    def test_degree_proportional_with_isolated_node(self, tmp_path, rng):
-        # degrees [0, 1, 3]: build 1-2 plus two extra stubs on node 2
-        (tmp_path / "e.txt").write_text("1 2\n2 3\n2 4\n")
-        (tmp_path / "a.txt").write_text("0\n")
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
-        table = build_negative_sampler(g)
-        draws = np.array([table.draw(rng) for _ in range(100_000)])
-        assert np.sum(draws == 0) == 0
-        # degrees are [0,1,3,1,1]; restrict to nodes 1 and 2, ratio 1:3
-        sub = draws[(draws == 1) | (draws == 2)]
-        counts = [np.sum(sub == 1), np.sum(sub == 2)]
-        assert chi_square_stat(counts, [len(sub) * 0.25, len(sub) * 0.75]) < CHI2_CRIT[1]
+    def test_degree_proportional_with_isolated_node(self, tmp_path):
+        # node 0 is isolated; anchor 1 (positive 2) may take 3, 4, 5, 6 with
+        # degrees [3, 1, 1, 1], and no anchor ever needs the fallback scan
+        g = graph_from_text(tmp_path, "1 2\n3 4\n3 5\n3 6\n")
+        batch = TripletSampler(g, seed=7).sample_batch(40_000)
+        assert not np.any(batch == 0)
+        counts, total = column_counts(batch, 1, 2, (3, 4, 5, 6))
+        assert sum(counts) == total
+        expected = np.array([3, 1, 1, 1]) / 6 * total
+        assert chi_square_stat(counts, expected) < CHI2_CRIT[3]
 
     def test_star_center_half_mass(self, tmp_path):
-        n = 9
-        (tmp_path / "e.txt").write_text("\n".join(f"0 {v}" for v in range(1, n)))
-        (tmp_path / "a.txt").write_text("0\n")
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
-        table = build_negative_sampler(g)
-        assert table.induced_probabilities()[0] == pytest.approx(0.5, abs=1e-12)
+        # the centre of an 8-leaf star holds 8 of the 16 degree units that
+        # anchors 9 and 10 (one edge apart from the star) draw from
+        lines = [f"0 {v}" for v in range(1, 9)] + ["9 10"]
+        g = graph_from_text(tmp_path, "\n".join(lines))
+        batch = TripletSampler(g, seed=5).sample_batch(40_000)
+        picks = batch[batch[:, 0] >= 9, 2]
+        assert np.all(picks <= 8)
+        counts = [int(np.sum(picks == 0)), int(np.sum(picks != 0))]
+        assert chi_square_stat(counts, [len(picks) / 2] * 2) < CHI2_CRIT[1]
 
     def test_edgeless_graph_rejected(self, tmp_path):
-        (tmp_path / "e.txt").write_text("")
-        (tmp_path / "a.txt").write_text("0 1\n1 2\n")
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
-        with pytest.raises(SamplingError):
-            build_negative_sampler(g)
+        g = graph_from_text(tmp_path, "", "0 1\n1 2\n")
+        with pytest.raises(SamplingError, match="no edges"):
+            TripletSampler(g)
 
 
 class TestTripletSampler:
     def test_batch_triplets_all_valid(self, toy_graph):
-        sampler = TripletSampler(toy_graph, seed=9)
-        for t in sampler.sample_batch(100):
-            assert toy_graph.has_edge(t.u, t.i)
-            assert not toy_graph.has_edge(t.u, t.j)
-            assert t.j != t.u and t.j != t.i
+        batch = TripletSampler(toy_graph, seed=9).sample_batch(100)
+        assert batch.shape == (100, 3) and batch.dtype == np.int64
+        for u, i, j in batch.tolist():
+            assert toy_graph.has_edge(u, i)
+            assert not toy_graph.has_edge(u, j)
+            assert j != u and j != i
 
     def test_fixed_seed_reproduces_stream(self, toy_graph):
         a = TripletSampler(toy_graph, seed=5).sample_batch(200)
         b = TripletSampler(toy_graph, seed=5).sample_batch(200)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self, toy_graph):
         a = TripletSampler(toy_graph, seed=5).sample_batch(200)
         b = TripletSampler(toy_graph, seed=6).sample_batch(200)
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_path_graph_middle_anchor_unsatisfiable(self, tmp_path):
         g = path_graph(tmp_path)
@@ -154,71 +154,85 @@ class TestTripletSampler:
         valid = []
         for _ in range(200):
             try:
-                t = sampler.sample_triplet()
-                valid.append(t)
-            except SamplingError:
+                valid.extend(sampler.sample_batch(1).tolist())
+            except SamplingError as exc:
+                assert "anchor 1 " in str(exc)
                 seen_error = True
         assert seen_error
-        for t in valid:
-            assert t.u in (0, 2)
-            assert t.i == 1
-            assert t.j == (2 if t.u == 0 else 0)
+        for u, i, j in valid:
+            assert u in (0, 2)
+            assert i == 1
+            assert j == (2 if u == 0 else 0)
 
     def test_rejection_fallback_on_dense_neighborhood(self, tmp_path):
-        # node 0 adjacent to all but node 4: the negative for anchor 0 must be 4
-        lines = ["0 1", "0 2", "0 3", "4 5"]
-        (tmp_path / "e.txt").write_text("\n".join(lines))
-        (tmp_path / "a.txt").write_text("0\n")
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
-        sampler = TripletSampler(g, seed=3)
-        for t in sampler.sample_batch(200):
-            if t.u == 0:
-                assert t.j in (4, 5)
+        # node 0 adjacent to all but nodes 4 and 5: its negative must be one of them
+        g = graph_from_text(tmp_path, "0 1\n0 2\n0 3\n4 5\n")
+        batch = TripletSampler(g, seed=3).sample_batch(200)
+        assert set(batch[batch[:, 0] == 0, 2].tolist()) <= {4, 5}
 
     def test_positive_frequencies_match_weights(self, tmp_path):
-        (tmp_path / "e.txt").write_text("0 1 1.0\n0 2 4.0\n1 2 1.0\n3 4 1.0\n")
-        (tmp_path / "a.txt").write_text("0\n")
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
-        sampler = TripletSampler(g, seed=11)
-        picks = [t.i for t in sampler.sample_batch(30_000) if t.u == 0]
-        counts = [sum(1 for i in picks if i == 1), sum(1 for i in picks if i == 2)]
-        assert chi_square_stat(counts, [len(picks) * 0.2, len(picks) * 0.8]) < CHI2_CRIT[1]
+        g = graph_from_text(tmp_path, "0 1 1.0\n0 2 4.0\n1 2 1.0\n3 4 1.0\n")
+        batch = TripletSampler(g, seed=11).sample_batch(30_000)
+        counts, total = column_counts(batch, 0, 1, (1, 2))
+        assert chi_square_stat(counts, [total * 0.2, total * 0.8]) < CHI2_CRIT[1]
 
     def test_negative_frequencies_match_restricted_degrees(self, tmp_path):
-        # anchor 0 has N(0) = {1}; valid negatives {3, 4, 5} keep their raw
-        # degree masses [2, 2, 1], renormalized after the rejections
-        (tmp_path / "e.txt").write_text("0 1\n3 4\n3 5\n4 2\n4 5\n2 3\n")
-        (tmp_path / "a.txt").write_text("0\n")
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
+        # anchor 0 has N(0) = {1}; valid negatives {2, 3, 4, 5} keep their raw
+        # degree masses [2, 3, 3, 2], renormalized after the rejections
+        g = graph_from_text(tmp_path, "0 1\n3 4\n3 5\n4 2\n4 5\n2 3\n")
         assert g.degree_vector().tolist() == [1, 1, 2, 3, 3, 2]
-        sampler = TripletSampler(g, seed=13)
-        negatives = [t.j for t in sampler.sample_batch(50_000) if t.u == 0]
-        counts = [sum(1 for j in negatives if j == v) for v in (2, 3, 4, 5)]
-        assert sum(counts) == len(negatives)  # never u, i, or a neighbor
-        expected = np.array([2, 3, 3, 2]) / 10 * len(negatives)
+        batch = TripletSampler(g, seed=13).sample_batch(50_000)
+        counts, total = column_counts(batch, 0, 2, (2, 3, 4, 5))
+        assert sum(counts) == total  # never u, i, or a neighbor
+        expected = np.array([2, 3, 3, 2]) / 10 * total
         assert chi_square_stat(counts, expected) < CHI2_CRIT[3]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_graphs_valid_or_saturated(self, data):
+        n = data.draw(st.integers(2, 8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1,
+                                    max_size=len(pairs)))
+        edges = np.array(chosen, dtype=np.int64)
+        weights = np.array([data.draw(st.floats(1e-3, 1e3)) for _ in chosen])
+        g = from_edges(n, 1, edges[:, 0], edges[:, 1], weights, np.array([0]), np.array([0]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        size = data.draw(st.integers(1, 40))
+        try:
+            batch = TripletSampler(g, seed=seed).sample_batch(size)
+        except SamplingError as exc:
+            saturated = [u for u in range(n) if len(g.neighbors[u]) == n - 1]
+            assert any(f"anchor {u} " in str(exc) for u in saturated)
+            return
+        assert batch.shape == (size, 3) and batch.dtype == np.int64
+        for u, i, j in batch.tolist():
+            assert g.has_edge(u, i)
+            assert j not in (u, i) and not g.has_edge(u, j)
+        assert np.array_equal(batch, TripletSampler(g, seed=seed).sample_batch(size))
 
-# Streams recorded from the set-based sampler this one replaced.  In the two
-# star graphs every node with degree mass neighbours the hub, so a negative
-# for anchor 1 comes only from the fallback scan over isolated nodes: two
-# candidates [0, 5] in the first, the single candidate [0] in the second.
+
+# Streams recorded from the sampler: a change to how it consumes its generator
+# must re-record them and say so.  In the two star graphs every node
+# with degree mass neighbours the hub, so a negative for anchor 1 comes only
+# from the fallback scan over isolated nodes: two candidates [0, 5] in the
+# first, the single candidate [0] in the second.
 GOLDEN_STREAMS = {
     "toy": (None, 5, [
-        (3, 4, 0), (3, 1, 0), (1, 2, 4), (3, 4, 0), (2, 3, 0), (1, 0, 4), (4, 3, 1),
-        (2, 1, 0), (4, 0, 1), (0, 4, 3), (3, 1, 0), (0, 1, 3), (1, 2, 4), (4, 0, 2),
-        (2, 3, 4), (4, 0, 2), (3, 1, 0), (2, 1, 4), (1, 0, 4), (3, 2, 0), (4, 3, 2),
-        (2, 3, 0), (4, 3, 1), (1, 3, 4),
+        (3, 2, 0), (4, 3, 1), (0, 4, 2), (4, 3, 2), (2, 1, 4), (2, 1, 4), (3, 4, 0),
+        (1, 0, 4), (4, 3, 2), (0, 1, 3), (1, 3, 4), (1, 0, 4), (2, 3, 4), (2, 3, 0),
+        (0, 1, 2), (0, 4, 2), (0, 4, 3), (0, 1, 3), (0, 4, 3), (4, 0, 1), (0, 4, 2),
+        (3, 2, 0), (3, 1, 0), (1, 0, 4),
     ]),
     "fallback-two": ((["1 2", "1 3", "1 4"], "0\n5\n"), 3, [
-        (4, 1, 2), (3, 1, 4), (3, 1, 4), (1, 4, 5), (2, 1, 3), (3, 1, 2), (3, 1, 2),
-        (1, 2, 0), (4, 1, 2), (1, 4, 5), (3, 1, 2), (3, 1, 4), (3, 1, 4), (1, 4, 5),
-        (2, 1, 3), (3, 1, 2),
+        (4, 1, 2), (1, 2, 5), (1, 3, 5), (1, 3, 5), (1, 3, 0), (4, 1, 3), (4, 1, 3),
+        (3, 1, 4), (1, 2, 5), (1, 3, 0), (2, 1, 3), (2, 1, 3), (3, 1, 4), (2, 1, 4),
+        (2, 1, 3), (1, 2, 0),
     ]),
     "fallback-one": ((["1 2", "1 3"], "0\n"), 3, [
-        (3, 1, 2), (2, 1, 3), (1, 3, 0), (2, 1, 3), (1, 3, 0), (3, 1, 2), (2, 1, 3),
-        (2, 1, 3), (2, 1, 3), (3, 1, 2), (1, 3, 0), (1, 2, 0), (1, 3, 0), (2, 1, 3),
-        (2, 1, 3), (2, 1, 3),
+        (3, 1, 2), (1, 2, 0), (1, 2, 0), (1, 3, 0), (1, 2, 0), (3, 1, 2), (3, 1, 2),
+        (2, 1, 3), (1, 2, 0), (1, 3, 0), (1, 3, 0), (2, 1, 3), (2, 1, 3), (2, 1, 3),
+        (1, 2, 0), (1, 2, 0),
     ]),
 }
 
@@ -229,9 +243,7 @@ def test_fixed_seed_stream_matches_recorded(name, toy_graph, tmp_path):
     g = toy_graph
     if files is not None:
         edges, attrs = files
-        (tmp_path / "e.txt").write_text("\n".join(edges) + "\n")
-        (tmp_path / "a.txt").write_text(attrs)
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
+        g = graph_from_text(tmp_path, "\n".join(edges) + "\n", attrs)
     batch = TripletSampler(g, seed=seed).sample_batch(len(expected))
-    assert [tuple(t) for t in batch] == expected
-    assert all(type(v) is int for t in batch for v in t)
+    assert batch.dtype == np.int64
+    assert np.array_equal(batch, np.array(expected))

@@ -6,7 +6,7 @@ import pytest
 
 from neuralbrane.graph import Rows
 from neuralbrane.model import forward, init_parameters
-from neuralbrane.sampler import Triplet, TripletSampler
+from neuralbrane.sampler import SamplingError, Triplet, TripletSampler
 from neuralbrane.synthetic import gnm_random_graph, planted_partition
 from neuralbrane.trainer import (
     GradientSet,
@@ -36,9 +36,10 @@ def random_instance(seed, pooling="max"):
         )
         sampler_seed = int(rng.integers(1 << 30))
         try:
-            t = TripletSampler(g, seed=sampler_seed).sample_triplet()
-        except Exception:
+            batch = TripletSampler(g, seed=sampler_seed).sample_batch(1)
+        except SamplingError:
             continue
+        t = Triplet(*batch[0].tolist())
         d1 = int(rng.integers(1, 5))
         d2 = int(rng.integers(1, 5))
         h = int(rng.integers(1, 6))
@@ -128,8 +129,9 @@ class TestTripletGradients:
             reg = 0.01 if seed % 2 else 0.0
             grads = triplet_gradients(params, g, t, reg=reg, pooling=pooling)
             analytic = dense_gradients(params, grads)
-            numeric = finite_difference_gradients(
-                lambda: triplet_loss(params, g, t, reg=reg, pooling=pooling), params
+            numeric = finite_difference_gradients(  # extended precision: see criterion 1
+                lambda: naive_triplet_loss(params, g, t, reg, pooling, real=np.longdouble),
+                params,
             )
             for a, f in zip(analytic, numeric):
                 for ia, (av, fv) in enumerate(zip(a.ravel(), f.ravel())):
@@ -189,7 +191,7 @@ class TestBatchGradients:
         batch = TripletSampler(g, seed=seed).sample_batch(24)
         positive = int(g.neighbors[0][0])
         negative = next(v for v in range(1, 12) if not g.has_edge(0, v))
-        return g, params, batch + [Triplet(0, positive, negative)]
+        return g, params, np.vstack([batch, [(0, positive, negative)]])
 
     @pytest.mark.parametrize("pooling", ["max", "sum"])
     @pytest.mark.parametrize("reg", [0.0, 0.05])
@@ -357,7 +359,6 @@ class TestTrain:
         # complete graph: every anchor is adjacent to every other node, so no
         # negative exists anywhere and the first batch must fail
         from neuralbrane.graph import load_graph
-        from neuralbrane.sampler import SamplingError
         lines = [f"{u} {v}" for u in range(4) for v in range(u + 1, 4)]
         (tmp_path / "e.txt").write_text("\n".join(lines))
         (tmp_path / "a.txt").write_text("0 0\n")
@@ -379,7 +380,7 @@ class TestTrain:
         touched_attr = set()
         touched_nbr = set()
         for t in batch:
-            for node in (t.u, t.i, t.j):
+            for node in t:
                 touched_attr.update(int(a) for a in g.attributes[node])
                 touched_nbr.update(int(v) for v in g.neighbors[node])
         for row in range(15):
