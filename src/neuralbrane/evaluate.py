@@ -330,8 +330,9 @@ def purity(assignment, labels) -> float:
 def project_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Project rows onto the top two principal components.
 
-    Power iteration with deflation on the covariance matrix; the sign of each
-    component is fixed so its first nonzero loading is positive.  Inputs with
+    A dense eigensolve of the covariance matrix; the sign of each component
+    is fixed so its first nonzero loading is positive.  A component whose
+    variance is at most ``tol`` of the total is left zero, so inputs with
     fewer than two directions of variance get zero trailing components.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -343,32 +344,15 @@ def project_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     out = np.zeros((points.shape[0], 2))
     if scale <= 0.0:
         return out
-    rng = np.random.default_rng(0)  # fixed internal seed: projection is deterministic
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)  # ascending
     for comp in range(2):
-        vec = rng.normal(size=cov.shape[0])
-        vec /= np.linalg.norm(vec)
-        eigenvalue = 0.0
-        for _ in range(10_000):
-            nxt = cov @ vec
-            norm = np.linalg.norm(nxt)
-            if norm <= tol * scale:
-                eigenvalue = 0.0
-                break
-            nxt /= norm
-            if np.linalg.norm(nxt - vec) < tol:
-                vec = nxt
-                eigenvalue = float(vec @ cov @ vec)
-                break
-            vec = nxt
-        else:
-            eigenvalue = float(vec @ cov @ vec)
-        if eigenvalue <= tol * scale:
+        if eigenvalues[-1 - comp] <= tol * scale:
             break  # remaining variance is numerically zero
+        vec = eigenvectors[:, -1 - comp]
         nonzero = np.flatnonzero(np.abs(vec) > 1e-12)
         if len(nonzero) and vec[nonzero[0]] < 0:
             vec = -vec
         out[:, comp] = centered @ vec
-        cov = cov - eigenvalue * np.outer(vec, vec)
     return out
 
 

@@ -54,6 +54,17 @@ class Rows:
             raise IndexError(f"row {u} is negative")
         return self.values[self.indptr[u]:self.indptr[u + 1]]
 
+    def take(self, nodes: np.ndarray) -> "Rows":
+        """The rows ``nodes`` (repeats allowed), end to end in that order."""
+        if len(nodes) and nodes.min() < 0:
+            raise IndexError(f"row {nodes.min()} is negative")
+        starts = self.indptr[nodes]
+        lengths = self.indptr[nodes + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        # entry e of the result sits in row r at offset e - indptr[r] from starts[r]
+        return Rows(indptr, self.values[np.repeat(starts - indptr[:-1], lengths)
+                                        + np.arange(indptr[-1])])
+
     def owners(self) -> np.ndarray:
         """The row each entry of ``values`` belongs to."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))

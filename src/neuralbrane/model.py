@@ -2,9 +2,12 @@
 
 A node is encoded by max-pooling embedding rows looked up for its attributes
 and, separately, for its neighbors; the two pooled vectors are concatenated
-and pushed through a shared ReLU layer.  Node similarity is the dot product
-of the hidden representations, and the ranking probability for a triplet is
-a sigmoid of the similarity margin.
+and pushed through a shared ReLU layer.  ``forward`` does this for an array
+of nodes at once: each half's rows are gathered end to end, each node's run
+of them is reduced in one ``reduceat``, and one GEMM applies the hidden
+layer.  Node similarity is the dot product of the hidden representations,
+and the ranking probability for a triplet is a sigmoid of the similarity
+margin.
 
 Nodes with an empty attribute set (or no neighbors) pool to the zero vector
 and route no gradient through that half; max-pool ties resolve to the lowest
@@ -18,12 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import AttributedGraph
+from .graph import AttributedGraph, Rows
 from .serialize import EmbeddingTable, read_nbrn, write_nbrn
 
 POOLING_MODES = ("max", "sum")
 
-_EMPTY_ARGMAX = np.empty(0, dtype=np.int64)
+# Nodes per forward call (16 triplets in training).  The gathered rows, and
+# with them the peak memory of training and embedding, grow with it.
+FORWARD_CHUNK = 48
 
 
 @dataclass
@@ -63,20 +68,34 @@ class ModelParameters:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of one forward pass, kept for exact backprop.
+    """Every intermediate of one forward pass over k nodes, kept for exact
+    backprop; row r of each field belongs to the r-th node passed in.
 
-    ``attr_argmax`` / ``nbr_argmax`` hold, per output dimension, the local
-    index into ``attr_rows`` / ``nbr_rows`` that won the max-pool (empty for
-    sum pooling or an empty lookup set).
+    ``attr_rows`` / ``nbr_rows`` hold the k nodes' row ids (``Rows.take``),
+    and ``attr_block`` / ``nbr_block`` the rows they select, one per entry of
+    their ``values``.
     """
 
-    attr_rows: np.ndarray
-    nbr_rows: np.ndarray
-    attr_argmax: np.ndarray
-    nbr_argmax: np.ndarray
+    pooling: str
+    attr_rows: Rows
+    nbr_rows: Rows
+    attr_block: np.ndarray
+    nbr_block: np.ndarray
     f: np.ndarray
     pre_activation: np.ndarray
     h_vec: np.ndarray
+
+    def winners(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """For the r-th node, per output dimension, the position in its
+        ``attr_rows`` / ``nbr_rows`` row of the row that won the max-pool, the
+        lowest on a tie.  Sum pooling and a half without rows have no winners
+        (an empty array)."""
+        found = []
+        for rows, block in ((self.attr_rows, self.attr_block), (self.nbr_rows, self.nbr_block)):
+            run = block[rows.indptr[r]:rows.indptr[r + 1]]
+            found.append(np.argmax(run, axis=0) if self.pooling == "max" and len(run)
+                         else np.empty(0, dtype=np.int64))
+        return found[0], found[1]
 
 
 INIT_STDDEV = 0.1  # i.e. variance 0.01; smaller scales cannot escape the
@@ -101,43 +120,26 @@ def init_parameters(n: int, m: int, d1: int, d2: int, h: int, seed=0) -> ModelPa
     )
 
 
-def _pool_rows(matrix: np.ndarray, rows: np.ndarray, width: int, pooling: str):
-    """Pool the selected rows columnwise; empty selections pool to zero."""
-    if len(rows) == 0:
-        return np.zeros(width), _EMPTY_ARGMAX
-    sub = matrix[rows]
-    if pooling == "max":
-        winners = np.argmax(sub, axis=0)  # first row wins ties
-        return sub[winners, np.arange(width)], winners
-    if pooling == "sum":
-        return sub.sum(axis=0), _EMPTY_ARGMAX
-    raise ValueError(f"unknown pooling mode {pooling!r}")
-
-
-def encode_attributes(params: ModelParameters, attrs: np.ndarray, pooling="max"):
-    """Pooled vector of the attribute ids ``attrs`` plus per-dimension winner indices."""
-    return _pool_rows(params.P, attrs, params.d1, pooling)
-
-
-def encode_neighbors(params: ModelParameters, nbrs: np.ndarray, pooling="max"):
-    """Pooled vector of the neighbor ids ``nbrs`` plus per-dimension winner indices."""
-    return _pool_rows(params.P_prime, nbrs, params.d2, pooling)
-
-
-def hidden(params: ModelParameters, f: np.ndarray):
-    """ReLU hidden transform; returns (h_vec, pre_activation)."""
-    pre = params.W @ f + params.b
-    return np.maximum(pre, 0.0), pre
-
-
-def forward(params: ModelParameters, g: AttributedGraph, u: int, pooling="max") -> ForwardTrace:
-    """Pool node u's two halves, concatenate them (attributes first), apply the hidden layer."""
-    attr_rows, nbr_rows = g.attributes[u], g.neighbors[u]  # once: each lookup is a Python call
-    v_attr, attr_argmax = encode_attributes(params, attr_rows, pooling)
-    v_nbr, nbr_argmax = encode_neighbors(params, nbr_rows, pooling)
-    f = np.concatenate([v_attr, v_nbr])
-    h_vec, pre = hidden(params, f)
-    return ForwardTrace(attr_rows, nbr_rows, attr_argmax, nbr_argmax, f, pre, h_vec)
+def forward(params: ModelParameters, g: AttributedGraph, nodes, pooling="max") -> ForwardTrace:
+    """Pool each node's two halves, concatenate them (attributes first) and
+    apply the hidden layer, for every node of ``nodes`` at once."""
+    if pooling not in POOLING_MODES:
+        raise ValueError(f"unknown pooling mode {pooling!r}")
+    nodes = np.asarray(nodes, dtype=np.int64)
+    reduce = np.maximum if pooling == "max" else np.add
+    halves = []
+    for matrix, lists in ((params.P, g.attributes), (params.P_prime, g.neighbors)):
+        rows = lists.take(nodes)
+        block = matrix[rows.values]
+        filled = rows.indptr[1:] > rows.indptr[:-1]
+        pooled = np.zeros((len(nodes), matrix.shape[1]))  # a node without rows pools to zero
+        pooled[filled] = reduce.reduceat(block, rows.indptr[:-1][filled], axis=0)
+        halves.append((rows, block, pooled))
+    (attr_rows, attr_block, v_attr), (nbr_rows, nbr_block, v_nbr) = halves
+    f = np.concatenate([v_attr, v_nbr], axis=1)
+    pre = f @ params.W.T + params.b
+    return ForwardTrace(pooling, attr_rows, nbr_rows, attr_block, nbr_block, f, pre,
+                        np.maximum(pre, 0.0))
 
 
 def similarity(h_u: np.ndarray, h_i: np.ndarray) -> float:
@@ -170,9 +172,10 @@ def embed_all(
         raise ValueError(f"layer must be 'h' or 'f', got {layer!r}")
     dim = params.h if layer == "h" else params.d
     out = np.empty((g.node_count, dim))
-    for u in range(g.node_count):
-        trace = forward(params, g, u, pooling)
-        out[u] = trace.h_vec if layer == "h" else trace.f
+    for start in range(0, g.node_count, FORWARD_CHUNK):
+        stop = min(start + FORWARD_CHUNK, g.node_count)
+        trace = forward(params, g, np.arange(start, stop), pooling)
+        out[start:stop] = trace.h_vec if layer == "h" else trace.f
     return EmbeddingTable(vectors=out)
 
 

@@ -2,11 +2,12 @@
 
 Per triplet (u, i, j) the loss is -ln sigmoid(s_ui - s_uj) plus an L2 term
 over the parameters the triplet actually touches: the attribute and neighbor
-embedding rows looked up by any of the three forward passes, and W and b.
-Gradients are computed by hand through the dot-product margin, the ReLU
-hidden layer, the concatenation, and the pooling (routed to the recorded
-argmax rows for max pooling, broadcast to all rows for sum pooling); each
-mini-batch sums them once into a block of rows per embedding matrix.
+embedding rows looked up by any of its three nodes, and W and b.  A batch
+runs ``forward`` on the distinct nodes of each chunk of ``FORWARD_CHUNK``
+nodes; gradients are then computed by hand per node through the dot-product
+margin, the ReLU hidden layer, the concatenation, and the pooling (routed
+to the max-pool winners, broadcast to all rows for sum pooling), and summed
+once into a block of rows per embedding matrix.
 
 One epoch processes as many triplets as the graph has undirected edges,
 resampled every epoch; gradients are averaged per batch by default so the
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import AttributedGraph
-from .model import POOLING_MODES, ModelParameters, forward, init_parameters, sigmoid
+from .graph import AttributedGraph, Rows
+from .model import FORWARD_CHUNK, POOLING_MODES, ModelParameters, forward, init_parameters, sigmoid
 from .sampler import Triplet, TripletSampler
 
 log = logging.getLogger(__name__)
@@ -106,26 +107,27 @@ class GradientSet:
         return all(np.isfinite(block).all() for block in self._blocks())
 
 
-def _looked_up(lists, triplets) -> list[np.ndarray]:
-    """Each triplet's distinct rows of one embedding matrix."""
-    return [np.unique(np.concatenate((lists[u], lists[i], lists[j]))) for u, i, j in triplets]
-
-
 class _RowBlock:
     """One embedding matrix's batch gradient over the rows the batch looks
     up, started at each row's L2 gradient once for every triplet that looks
-    it up."""
+    it up.  ``looked_up[t]`` holds triplet t's rows, sorted."""
 
-    def __init__(self, matrix: np.ndarray, per_triplet: list[np.ndarray], reg: float) -> None:
-        self.ids, counts = np.unique(np.concatenate([_NO_ROWS, *per_triplet]),
-                                     return_counts=True)
+    def __init__(self, matrix: np.ndarray, lists: Rows, triplets: np.ndarray, reg: float) -> None:
+        # distinct (triplet, row) keys, sorted: each triplet's rows, once each
+        # (np.unique hashes the keys, which is far slower on a hub's rows)
+        taken, n = lists.take(triplets.ravel()), len(matrix)
+        keys = np.sort(taken.owners() // 3 * n + taken.values)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.looked_up = Rows(np.searchsorted(keys, np.arange(len(triplets) + 1) * n), keys % n)
+        self.ids, counts = np.unique(self.looked_up.values, return_counts=True)
         self.grad = matrix[self.ids]
         self.grad *= (2.0 * reg * counts)[:, None]  # zero when reg is 0
         self.cols = np.arange(matrix.shape[1])
 
     def route(self, rows: np.ndarray, winners: np.ndarray, part: np.ndarray) -> None:
-        """Add the gradient of a pooled vector to the rows it pooled.  The
-        rows of one lookup are distinct, so a fancy-indexed += is exact."""
+        """Add the gradient of a pooled vector to the rows it pooled: ``rows``
+        and ``winners`` are one node's row ids and winners in a ForwardTrace.
+        The rows of one lookup are distinct, so a fancy-indexed += is exact."""
         local = np.searchsorted(self.ids, rows)
         if len(winners):  # max pooling: each column to its winning row
             self.grad[local[winners], self.cols] += part
@@ -165,14 +167,6 @@ def _softplus(x: float) -> float:
     return math.log1p(math.exp(x))
 
 
-def _forward_triplet(params, g, u: int, i: int, j: int, pooling: str):
-    tr_u = forward(params, g, u, pooling)
-    tr_i = forward(params, g, i, pooling)
-    tr_j = forward(params, g, j, pooling)
-    margin = float(np.dot(tr_u.h_vec, tr_i.h_vec) - np.dot(tr_u.h_vec, tr_j.h_vec))
-    return tr_u, tr_i, tr_j, margin
-
-
 def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
                     reg: float = 0.0, pooling: str = "max"):
     """Exact gradients of the summed losses of a batch of triplets, given as
@@ -182,33 +176,38 @@ def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
     batch order.  A row looked up by k triplets carries k times its L2
     gradient; W and b carry it once per triplet.
     """
-    triplets = np.asarray(batch, dtype=np.int64).tolist()
-    attr_sets = _looked_up(g.attributes, triplets)
-    nbr_sets = _looked_up(g.neighbors, triplets)
-    attr = _RowBlock(params.P, attr_sets, reg)
-    nbr = _RowBlock(params.P_prime, nbr_sets, reg)
+    triplets = np.asarray(batch, dtype=np.int64)
+    attr = _RowBlock(params.P, g.attributes, triplets, reg)
+    nbr = _RowBlock(params.P_prime, g.neighbors, triplets, reg)
     w_grad = np.zeros_like(params.W)
     b_grad = np.zeros_like(params.b)
     losses = []
     dense_l2 = float(np.sum(params.W ** 2)) + float(np.sum(params.b ** 2))
-    for (u, i, j), attr_rows, nbr_rows in zip(triplets, attr_sets, nbr_sets):
-        tr_u, tr_i, tr_j, margin = _forward_triplet(params, g, u, i, j, pooling)
-        delta = sigmoid(margin) - 1.0  # d/d(margin) of -ln sigmoid(margin)
-        grads_h = ((tr_u, delta * (tr_i.h_vec - tr_j.h_vec)),
-                   (tr_i, delta * tr_u.h_vec),
-                   (tr_j, -delta * tr_u.h_vec))
-        for trace, grad_h in grads_h:
-            masked = np.where(trace.pre_activation > 0.0, grad_h, 0.0)
-            w_grad += np.outer(masked, trace.f)
-            b_grad += masked
-            grad_f = params.W.T @ masked  # split at the concat seam below
-            attr.route(trace.attr_rows, trace.attr_argmax, grad_f[:params.d1])
-            nbr.route(trace.nbr_rows, trace.nbr_argmax, grad_f[params.d1:])
-        l2 = 0.0
-        if reg != 0.0:
-            l2 = reg * (dense_l2 + float(np.sum(params.P[attr_rows] ** 2))
-                        + float(np.sum(params.P_prime[nbr_rows] ** 2)))
-        losses.append((_softplus(-margin), l2))
+    per_call = FORWARD_CHUNK // 3
+    for start in range(0, len(triplets), per_call):
+        # a node repeated in the chunk (a hub, often) is pooled once; row
+        # at[3t], at[3t + 1], at[3t + 2] of the trace is the t-th (u, i, j)
+        nodes, at = np.unique(triplets[start:start + per_call].ravel(), return_inverse=True)
+        trace = forward(params, g, nodes, pooling)
+        for t, rows in enumerate(at.reshape(-1, 3)):
+            h_u, h_i, h_j = trace.h_vec[rows]
+            margin = float(np.dot(h_u, h_i) - np.dot(h_u, h_j))
+            delta = sigmoid(margin) - 1.0  # d/d(margin) of -ln sigmoid(margin)
+            grads_h = (delta * (h_i - h_j), delta * h_u, -delta * h_u)
+            for k, grad_h in zip(rows, grads_h):
+                attr_winners, nbr_winners = trace.winners(k)
+                masked = np.where(trace.pre_activation[k] > 0.0, grad_h, 0.0)
+                w_grad += np.outer(masked, trace.f[k])
+                b_grad += masked
+                grad_f = params.W.T @ masked  # split at the concat seam below
+                attr.route(trace.attr_rows[k], attr_winners, grad_f[:params.d1])
+                nbr.route(trace.nbr_rows[k], nbr_winners, grad_f[params.d1:])
+            l2 = 0.0
+            if reg != 0.0:
+                attr_rows, nbr_rows = attr.looked_up[start + t], nbr.looked_up[start + t]
+                l2 = reg * (dense_l2 + float(np.sum(params.P[attr_rows] ** 2))
+                            + float(np.sum(params.P_prime[nbr_rows] ** 2)))
+            losses.append((_softplus(-margin), l2))
 
     w_grad += 2.0 * reg * len(triplets) * params.W
     b_grad += 2.0 * reg * len(triplets) * params.b

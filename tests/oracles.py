@@ -67,6 +67,27 @@ def naive_triplet_loss(params, g, t, reg, pooling="max", real=float):
     return base + reg * penalty
 
 
+def naive_forward(params, g, u, pooling="max"):
+    """Node u's (f, attribute winners, neighbor winners, pre-activation) as
+    the per-node forward pass computed them: ``matrix[rows]`` pooled
+    columnwise, the first row winning a max-pool tie, then ``W @ f + b``.
+    A half without rows pools to zero and, like sum pooling, has no winners."""
+    halves, winners = [], []
+    for matrix, rows in ((params.P, g.attributes[u]), (params.P_prime, g.neighbors[u])):
+        sub = matrix[rows]
+        won = np.empty(0, dtype=np.int64)
+        if len(rows) == 0:
+            halves.append(np.zeros(matrix.shape[1]))
+        elif pooling == "max":
+            won = np.argmax(sub, axis=0)
+            halves.append(sub[won, np.arange(matrix.shape[1])])
+        else:
+            halves.append(sub.sum(axis=0))
+        winners.append(won)
+    f = np.concatenate(halves)
+    return f, winners[0], winners[1], params.W @ f + params.b
+
+
 def finite_difference_gradients(loss_fn, params, eps=1e-6):
     """Central differences of ``loss_fn()`` w.r.t. every entry of params.
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import neuralbrane
 from neuralbrane.evaluate import (
     kmeans,
     macro_f1,
@@ -27,9 +28,10 @@ from neuralbrane.model import (
     init_parameters,
 )
 from neuralbrane.sampler import SamplingError, Triplet, TripletSampler
-from neuralbrane.synthetic import gnm_random_graph, planted_partition
+from neuralbrane.synthetic import planted_partition
 from neuralbrane.trainer import TrainConfig, train, triplet_gradients, triplet_loss
 
+from . import criterion5
 from .oracles import (
     finite_difference_gradients,
     fit_loglog_slope,
@@ -112,10 +114,11 @@ class TestCriterion1GradientExactness:
             g, params, t = random_tiny_instance(rng, pooling)
             reg = 0.01 if instances % 2 else 0.0
             worst = max(worst, gradient_check(params, g, t, reg, pooling))
-            trace = forward(params, g, t.u, pooling)
-            if pooling == "max" and trace.attr_argmax.size and trace.attr_argmax.max() > 0:
+            trace = forward(params, g, [t.u], pooling)
+            attr_winners = trace.winners(0)[0]
+            if pooling == "max" and attr_winners.size and attr_winners.max() > 0:
                 routed_away_from_first += 1
-            if np.any(trace.pre_activation <= 0):
+            if np.any(trace.pre_activation[0] <= 0):
                 inactive_units_seen += 1
             instances += 1
         # the sweep must genuinely exercise argmax routing and ReLU masking
@@ -144,9 +147,10 @@ class TestCriterion1GradientExactness:
             lo, hi = int(rows[0]), int(rows[1])
             params.P[hi] = params.P[lo]  # exact tie on every coordinate
             grads = triplet_gradients(params, g, t, reg=0.0, pooling="max")
-            trace = forward(params, g, t.u, "max")
-            tied_dims = np.isin(trace.attr_rows[trace.attr_argmax], [lo, hi])
-            assert not np.any(trace.attr_rows[trace.attr_argmax][tied_dims] == hi), \
+            trace = forward(params, g, [t.u], "max")
+            winning_rows = trace.attr_rows[0][trace.winners(0)[0]]
+            tied_dims = np.isin(winning_rows, [lo, hi])
+            assert not np.any(winning_rows[tied_dims] == hi), \
                 "a tie routed to the higher row index"
             if hi in grads.attr_rows:
                 shared_with_other_traces = any(
@@ -260,49 +264,22 @@ class TestCriterion4CiteSeer:
 
 class TestCriterion5ComplexityScaling:
     @staticmethod
-    def _min_epoch_seconds(g, cfg, reps=2):
-        # epoch 0 warms caches and allocations; min over the remaining
-        # epochs of two separate runs damps scheduler and contention spikes
-        best = np.inf
-        for _ in range(reps):
-            _, tlog = train(g, cfg)
-            best = min(best, min(tlog.seconds[1:]))
-        return best
+    def _check(criterion, label):
+        points = criterion5.POINTS[criterion]
+        times = [criterion5.min_epoch_seconds(neuralbrane, graph_kwargs, cfg_kwargs)
+                 for _, graph_kwargs, cfg_kwargs in points]
+        slope, r2 = fit_loglog_slope([x for x, _, _ in points], times)
+        report(
+            label,
+            criterion5.passes(slope, r2),
+            f"slope {slope:.3f} (1.0+/-0.15), R^2 {r2:.4f} over 16x range",
+        )
 
     def test_epoch_time_linear_in_triplets(self):
-        sizes, times = [], []
-        for edges in (250, 500, 1000, 2000, 4000):
-            # node count held fixed so the memory and cache profile is the
-            # same at every point; only the triplets per epoch change
-            g = gnm_random_graph(nodes=4000, edges=edges, attributes=16,
-                                 attrs_per_node=4, seed=edges)
-            cfg = TrainConfig(d1=8, d2=8, hidden=16, epochs=4, seed=0,
-                              convergence_tol=0.0)
-            times.append(self._min_epoch_seconds(g, cfg))
-            sizes.append(edges)
-        slope, r2 = fit_loglog_slope(sizes, times)
-        report(
-            "5a scaling-in-|D|",
-            0.85 <= slope <= 1.15 and r2 > 0.95,
-            f"slope {slope:.3f} (1.0+/-0.15), R^2 {r2:.4f} over 16x range",
-        )
+        self._check("5a", "5a scaling-in-|D|")
 
     def test_epoch_time_linear_in_hidden_cost(self):
-        g = gnm_random_graph(nodes=200, edges=300, attributes=16,
-                             attrs_per_node=4, seed=9)
-        sizes, times = [], []
-        for half_width in (96, 128, 192, 256, 384):
-            h = 2 * half_width
-            cfg = TrainConfig(d1=half_width, d2=half_width, hidden=h, epochs=4,
-                              seed=0, convergence_tol=0.0)
-            times.append(self._min_epoch_seconds(g, cfg))
-            sizes.append(h * 2 * half_width)
-        slope, r2 = fit_loglog_slope(sizes, times)
-        report(
-            "5b scaling-in-h*d",
-            0.85 <= slope <= 1.15 and r2 > 0.95,
-            f"slope {slope:.3f} (1.0+/-0.15), R^2 {r2:.4f} over 16x range",
-        )
+        self._check("5b", "5b scaling-in-h*d")
 
 
 class TestCriterion6MetricOracles:

@@ -129,6 +129,18 @@ class TestRows:
     def test_index_outside_the_rows_raises(self, toy_graph, u):
         with pytest.raises(IndexError):
             toy_graph.attributes[u]
+        with pytest.raises(IndexError):
+            toy_graph.attributes.take(np.array([0, u]))
+
+    def test_take_rows(self):
+        rows = Rows(np.array([0, 0, 2, 3]), np.array([7, 9, 4]))  # rows [], [7, 9], [4]
+        taken = rows.take(np.array([1, 0, 2, 1]))
+        assert taken.indptr.tolist() == [0, 2, 2, 3, 5]
+        assert taken.values.tolist() == [7, 9, 4, 7, 9]
+        assert [taken[r].tolist() for r in range(4)] == [[7, 9], [], [4], [7, 9]]
+        assert rows.take(np.array([0, 0])).indptr.tolist() == [0, 0, 0]
+        none = rows.take(np.array([], dtype=np.int64))
+        assert none.indptr.tolist() == [0] and len(none.values) == 0
 
 
 class TestDegreeVector:

@@ -6,20 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralbrane.graph import Rows, load_graph
+from neuralbrane.graph import Rows, from_edges, load_graph
 from neuralbrane.model import (
     INIT_STDDEV,
     bpr_probability,
+    FORWARD_CHUNK,
     embed_all,
-    encode_attributes,
-    encode_neighbors,
     forward,
-    hidden,
     init_parameters,
     sigmoid,
     similarity,
 )
 from neuralbrane.synthetic import planted_partition
+
+from .oracles import naive_forward
 
 
 class TestInit:
@@ -50,44 +50,50 @@ class TestInit:
             init_parameters(5, 5, 0, 3, 3)
 
 
+def isolated_node_graph(tmp_path):
+    """Nodes 0 and 1 share an edge and one attribute each; node 2 has neither."""
+    (tmp_path / "e.txt").write_text("0 1\n")
+    (tmp_path / "a.txt").write_text("0 1\n1 0\n2\n")
+    return load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
+
+
 class TestEncoding:
     def test_columnwise_max_and_argmax(self, toy_graph):
         params = init_parameters(5, 7, 2, 2, 3, seed=0)
         params.P[1] = [1.0, 3.0]
         params.P[5] = [4.0, 2.0]
-        v, winners = encode_attributes(params, toy_graph.attributes[1])  # A(b) = {1, 5}
-        assert v.tolist() == [4.0, 3.0]
-        assert winners.tolist() == [1, 0]
+        trace = forward(params, toy_graph, [1])  # A(b) = {1, 5}
+        assert trace.f[0, :2].tolist() == [4.0, 3.0]
+        assert trace.winners(0)[0].tolist() == [1, 0]
 
     def test_single_attribute_is_identity(self, toy_graph):
         params = init_parameters(5, 7, 4, 2, 3, seed=1)
-        v, winners = encode_attributes(params, toy_graph.attributes[4])  # A(e) = {4}
-        np.testing.assert_array_equal(v, params.P[4])
-        assert winners.tolist() == [0, 0, 0, 0]
+        trace = forward(params, toy_graph, [4])  # A(e) = {4}
+        np.testing.assert_array_equal(trace.f[0, :4], params.P[4])
+        assert trace.winners(0)[0].tolist() == [0, 0, 0, 0]
 
     def test_toy_node_b_neighbors(self, toy_graph):
         params = init_parameters(5, 7, 2, 3, 3, seed=2)
-        v, winners = encode_neighbors(params, toy_graph.neighbors[1])  # N(b) = {0, 2, 3}
+        trace = forward(params, toy_graph, [1])  # N(b) = {0, 2, 3}
         expected = params.P_prime[[0, 2, 3]].max(axis=0)
-        np.testing.assert_array_equal(v, expected)
-        assert all(0 <= w < 3 for w in winners)
+        np.testing.assert_array_equal(trace.f[0, 2:], expected)
+        assert all(0 <= w < 3 for w in trace.winners(0)[1])
 
     def test_isolated_node_pools_to_zero(self, tmp_path):
-        (tmp_path / "e.txt").write_text("0 1\n")
-        (tmp_path / "a.txt").write_text("0 1\n1 0\n2\n")
-        g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
+        g = isolated_node_graph(tmp_path)
         params = init_parameters(3, 2, 2, 2, 3, seed=0)
-        v, winners = encode_neighbors(params, g.neighbors[2])
-        assert v.tolist() == [0.0, 0.0]
-        assert winners.size == 0
-        v, winners = encode_attributes(params, g.attributes[2])
-        assert v.tolist() == [0.0, 0.0]
+        trace = forward(params, g, [2])
+        attr_winners, nbr_winners = trace.winners(0)
+        assert trace.f[0, 2:].tolist() == [0.0, 0.0]
+        assert nbr_winners.size == 0
+        assert trace.f[0, :2].tolist() == [0.0, 0.0]
+        assert attr_winners.size == 0
 
     def test_sum_pooling(self, toy_graph):
         params = init_parameters(5, 7, 3, 3, 4, seed=5)
-        v, winners = encode_attributes(params, toy_graph.attributes[1], pooling="sum")
-        np.testing.assert_allclose(v, params.P[[1, 5]].sum(axis=0))
-        assert winners.size == 0
+        trace = forward(params, toy_graph, [1], pooling="sum")
+        np.testing.assert_allclose(trace.f[0, :3], params.P[[1, 5]].sum(axis=0))
+        assert trace.winners(0)[0].size == 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -117,47 +123,135 @@ class TestEncoding:
             assert np.all(grown >= base)
 
 
+def random_graph(rng):
+    """Up to 12 nodes with random edges and attribute sets; isolated nodes
+    and nodes without attributes are common."""
+    n, m = int(rng.integers(1, 13)), int(rng.integers(1, 9))
+    pairs = np.sort(rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2)), axis=1)
+    pairs = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
+    attrs = int(rng.integers(0, 2 * n + 1))
+    return from_edges(n, m, pairs[:, 0], pairs[:, 1], rng.uniform(0.5, 2.0, len(pairs)),
+                      rng.integers(0, n, attrs), rng.integers(0, m, attrs))
+
+
+def assert_matches_oracle(params, g, nodes, pooling, trace):
+    """``trace`` is ``forward(params, g, nodes, pooling)``: f is the per-node
+    oracle's (``assert_pooled``), the winners equal its bit for bit, and h is
+    within 1e-12 relative."""
+    for r, u in enumerate(nodes):
+        f, want_attr, want_nbr, pre = naive_forward(params, g, u, pooling)
+        assert_pooled(params, g, u, trace.f[r], f, pooling)
+        attr_winners, nbr_winners = trace.winners(r)
+        assert np.array_equal(attr_winners, want_attr)
+        assert np.array_equal(nbr_winners, want_nbr)
+        assert_close_rows(trace.h_vec[r], pre)
+
+
+def assert_pooled(params, g, u, got, want, pooling):
+    """A max-pool picks one row per column, so ``got`` is ``want`` bit for bit.
+    A sum may round differently, because ``reduceat`` adds a node's rows
+    pairwise where ``sum(axis=0)`` adds them one after another; it is held
+    to 1e-13 of the summed magnitudes."""
+    if pooling == "max":
+        assert np.array_equal(got, want)
+        return
+    magnitude = np.concatenate([np.abs(params.P[g.attributes[u]]).sum(axis=0),
+                                np.abs(params.P_prime[g.neighbors[u]]).sum(axis=0)])
+    assert np.all(np.abs(got - want) <= 1e-13 * magnitude)
+
+
+def assert_close_rows(h_vec, pre):
+    """``h_vec`` is the ReLU of ``pre`` to within 1e-12 of pre's largest entry."""
+    scale = np.max(np.abs(pre))
+    assert np.max(np.abs(h_vec - np.maximum(pre, 0.0))) <= 1e-12 * scale
+
+
 class TestForward:
-    def test_hidden_relu(self):
-        params = init_parameters(2, 2, 1, 1, 2, seed=0)
+    def test_hidden_relu(self, toy_graph):
+        params = init_parameters(5, 7, 1, 1, 2, seed=0)
+        params.P[[1, 5]] = -1.0  # A(b) = {1, 5}
+        params.P_prime[[0, 2, 3]] = 2.0  # N(b) = {0, 2, 3}
         params.W = np.eye(2)
         params.b = np.zeros(2)
-        h_vec, pre = hidden(params, np.array([-1.0, 2.0]))
-        assert h_vec.tolist() == [0.0, 2.0]
-        assert pre.tolist() == [-1.0, 2.0]
+        trace = forward(params, toy_graph, [1])
+        assert trace.h_vec[0].tolist() == [0.0, 2.0]
+        assert trace.pre_activation[0].tolist() == [-1.0, 2.0]
 
-    def test_hidden_zero_input_gives_relu_bias(self):
-        params = init_parameters(2, 2, 2, 2, 6, seed=4)
-        h_vec, _ = hidden(params, np.zeros(4))
-        np.testing.assert_array_equal(h_vec, np.maximum(params.b, 0.0))
+    def test_hidden_zero_input_gives_relu_bias(self, tmp_path):
+        params = init_parameters(3, 2, 2, 2, 6, seed=4)
+        trace = forward(params, isolated_node_graph(tmp_path), [2])
+        np.testing.assert_array_equal(trace.h_vec[0], np.maximum(params.b, 0.0))
 
-    def test_hidden_matches_triple_loop_oracle(self, rng):
-        params = init_parameters(3, 3, 4, 3, 5, seed=9)
-        f = rng.normal(size=7)
-        h_vec, pre = hidden(params, f)
-        for row in range(5):
-            acc = params.b[row]
-            for col in range(7):
-                acc += params.W[row, col] * f[col]
-            assert abs(pre[row] - acc) < 1e-12 * max(1.0, abs(acc))
-            assert h_vec[row] == max(0.0, pre[row])
+    def test_hidden_matches_triple_loop_oracle(self):
+        g = planted_partition(nodes=12, attributes=8, seed=3)
+        params = init_parameters(12, 8, 4, 3, 5, seed=9)
+        trace = forward(params, g, np.arange(12))
+        for f, pre, h_vec in zip(trace.f, trace.pre_activation, trace.h_vec):
+            for row in range(5):
+                acc = params.b[row]
+                for col in range(7):
+                    acc += params.W[row, col] * f[col]
+                assert abs(pre[row] - acc) < 1e-12 * max(1.0, abs(acc))
+                assert h_vec[row] == max(0.0, pre[row])
 
     def test_forward_trace_contents(self, toy_graph):
         params = init_parameters(5, 7, 3, 3, 4, seed=7)
-        trace = forward(params, toy_graph, 1)
-        assert trace.attr_rows.tolist() == [1, 5]
-        assert trace.nbr_rows.tolist() == [0, 2, 3]
+        trace = forward(params, toy_graph, [1])
+        assert trace.attr_rows[0].tolist() == [1, 5]
+        assert trace.nbr_rows[0].tolist() == [0, 2, 3]
         assert np.all(trace.h_vec >= 0)
-        assert trace.f[:3].tolist() == params.P[[1, 5]].max(axis=0).tolist()
-        assert trace.f[3:].tolist() == params.P_prime[[0, 2, 3]].max(axis=0).tolist()
+        assert trace.f[0, :3].tolist() == params.P[[1, 5]].max(axis=0).tolist()
+        assert trace.f[0, 3:].tolist() == params.P_prime[[0, 2, 3]].max(axis=0).tolist()
 
     def test_forward_pure(self, toy_graph):
         params = init_parameters(5, 7, 3, 3, 4, seed=7)
-        a = forward(params, toy_graph, 2)
-        b = forward(params, toy_graph, 2)
+        a = forward(params, toy_graph, [2])
+        b = forward(params, toy_graph, [2])
         assert np.array_equal(a.f, b.f)
         assert np.array_equal(a.h_vec, b.h_vec)
         assert np.array_equal(a.pre_activation, b.pre_activation)
+
+    @pytest.mark.parametrize("pooling", ["max", "sum"])
+    def test_matches_per_node_oracle(self, pooling):
+        # node arrays with repeats, over graphs with isolated and attribute-free
+        # nodes; every other instance rounds the parameters to one decimal,
+        # which makes exact max-pool ties common
+        rng = np.random.default_rng(808)
+        ties = 0
+        for instance in range(300):
+            g = random_graph(rng)
+            params = init_parameters(g.node_count, g.attribute_count, int(rng.integers(1, 5)),
+                                     int(rng.integers(1, 5)), int(rng.integers(1, 6)),
+                                     seed=int(rng.integers(1 << 30)))
+            if instance % 2:
+                params.P, params.P_prime = params.P.round(1), params.P_prime.round(1)
+            nodes = rng.integers(0, g.node_count, int(rng.integers(1, 3 * g.node_count + 2)))
+            trace = forward(params, g, nodes, pooling)
+            assert_matches_oracle(params, g, nodes, pooling, trace)
+            if pooling == "max":  # columns whose max two or more rows reach
+                for r in range(len(nodes)):
+                    block = params.P[trace.attr_rows[r]]
+                    if len(block):
+                        ties += int(np.sum((block == block.max(axis=0)).sum(axis=0) >= 2))
+        assert pooling == "sum" or ties >= 50
+
+    @pytest.mark.parametrize("pooling", ["max", "sum"])
+    def test_hub_rows_are_gathered_once(self, pooling):
+        # a star whose hub has 500 neighbors: the chunk's gathered neighbor
+        # rows are its 500 + 47 rows, not 48 rows padded to the hub's length
+        leaves = np.arange(1, 501)
+        g = from_edges(501, 1, np.zeros(500, dtype=np.int64), leaves, np.ones(500),
+                       leaves, np.zeros(500, dtype=np.int64))
+        params = init_parameters(501, 1, 2, 3, 4, seed=5)
+        nodes = np.arange(FORWARD_CHUNK)
+        trace = forward(params, g, nodes, pooling)
+        assert trace.nbr_block.shape == (500 + FORWARD_CHUNK - 1, 3)
+        assert trace.attr_block.shape == (FORWARD_CHUNK - 1, 2)
+        assert_matches_oracle(params, g, nodes, pooling, trace)
+
+    def test_unknown_pooling_rejected(self, toy_graph):
+        with pytest.raises(ValueError, match="pooling"):
+            forward(init_parameters(5, 7, 2, 2, 3), toy_graph, [0], pooling="mean")
 
 
 class TestSimilarityAndRanking:
@@ -206,6 +300,18 @@ def reversed_rows(rows: Rows) -> Rows:
 
 
 class TestEmbedAll:
+    @pytest.mark.parametrize("pooling", ["max", "sum"])
+    def test_matches_per_node_oracle(self, pooling):
+        # a node count that is not a multiple of the chunk leaves a short last chunk
+        g = planted_partition(nodes=2 * FORWARD_CHUNK + 5, attributes=10, seed=6)
+        params = init_parameters(g.node_count, 10, 3, 4, 5, seed=8)
+        f_table = embed_all(params, g, layer="f", pooling=pooling).vectors
+        h_table = embed_all(params, g, pooling=pooling).vectors
+        for u in range(g.node_count):
+            f, _, _, pre = naive_forward(params, g, u, pooling)
+            assert_pooled(params, g, u, f_table[u], f, pooling)
+            assert_close_rows(h_table[u], pre)
+
     def test_identical_context_identical_rows(self, tmp_path):
         # nodes 0 and 1 share the same neighborhood {2} and attribute set {0}
         (tmp_path / "e.txt").write_text("0 2\n1 2\n")
@@ -234,8 +340,8 @@ class TestEmbedAll:
         params = init_parameters(5, 7, 3, 3, 4, seed=3)
         table = embed_all(params, toy_graph, layer="f")
         assert table.dim == 6
-        trace = forward(params, toy_graph, 2)
-        np.testing.assert_array_equal(table.vectors[2], trace.f)
+        trace = forward(params, toy_graph, [2])
+        np.testing.assert_array_equal(table.vectors[2], trace.f[0])
 
     def test_permuting_lists_leaves_embedding_unchanged(self):
         g = planted_partition(nodes=12, attributes=8, seed=2)
