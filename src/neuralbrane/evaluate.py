@@ -240,7 +240,7 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed=0,
     active = np.arange(restarts)
     for _ in range(max_iter):
         d2 = _restart_distances(points, norms, centers[active])
-        new = np.argmin(d2, axis=1)
+        new = _nearest(d2)
         onehot = (new[:, None, :] == np.arange(k)[:, None]).astype(np.float64)
         counts = onehot.sum(axis=2)
         moved = (onehot.reshape(len(active) * k, -1) @ points).reshape(len(active), k, -1)
@@ -261,6 +261,17 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed=0,
             best_wcss = wcss
             best_assignment = assignment
     return best_assignment
+
+
+def _nearest(d2: np.ndarray) -> np.ndarray:
+    """``np.argmin(d2, axis=1)`` of a (restarts, k, n) block, ties and NaN
+    included: each point's lowest class at the minimum (or the first NaN).
+    Reductions along the strided class axis are fast, argmin along it is not."""
+    k = d2.shape[1]
+    hit = d2 == d2.min(axis=1, keepdims=True)
+    hit |= np.isnan(d2)
+    rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]  # class c ranks k - c
+    return k - (hit * rank).max(axis=1).astype(np.intp)
 
 
 def _restart_distances(points: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:

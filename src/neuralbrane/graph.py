@@ -6,11 +6,13 @@ per-node sparse binary attribute sets and optional integer class labels.
 File formats (UTF-8 text, whitespace separated, ``#`` lines are comments):
 
 * edge file:  one edge per line, ``<src-id> <dst-id> [weight]``; the weight
-  defaults to 1.0 when omitted.  Ids are 0-based integers.  Edges are stored
-  undirected; a line given in both directions (with equal weight) counts once.
+  defaults to 1.0 when omitted.  Edges are stored undirected; a line given
+  in both directions (with equal weight) counts once.
 * attribute file:  one node per line, ``<node-id> <attr-id> <attr-id> ...``.
   A line holding only a node id declares the node with an empty attribute set.
 * label file:  one node per line, ``<node-id> <class-id>``.
+
+Every id is a 0-based integer that fits in int64 (below 2**63).
 
 Node and attribute counts are inferred as the maximum observed id plus one
 unless explicit counts are passed (the CLI exposes ``--nodes`` / ``--attrs``).
@@ -23,10 +25,11 @@ one flat ``values`` array with every node's entries end to end, cut by n+1
 from __future__ import annotations
 
 import logging
-from array import array
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -236,10 +239,25 @@ def _tokens(path: Path):
     """Yield (lineno, tokens) for non-comment, non-blank lines."""
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, stripped.split()
+            toks = line.split()
+            if toks and toks[0][0] != "#":
+                yield lineno, toks
+
+
+# Text read per block of lines: 64 KiB keeps a block's token lists small
+# (1 MiB blocks took 0.1-0.2 s longer on the benchmark's `large-embed` files).
+_BLOCK_BYTES = 1 << 16
+
+
+def _token_blocks(path: Path):
+    """Yield the token lists of the non-comment, non-blank lines, in blocks
+    of about ``_BLOCK_BYTES`` of text."""
+    with path.open("r", encoding="utf-8") as fh:
+        while lines := fh.readlines(_BLOCK_BYTES):
+            yield [toks for toks in map(str.split, lines) if toks and toks[0][0] != "#"]
+
+
+_MAX_ID = np.iinfo(np.int64).max
 
 
 def _parse_id(token: str, path: Path, lineno: int, kind: str) -> int:
@@ -249,6 +267,8 @@ def _parse_id(token: str, path: Path, lineno: int, kind: str) -> int:
         raise GraphFormatError(f"{path}:{lineno}: {kind} id {token!r} is not an integer") from None
     if value < 0:
         raise GraphFormatError(f"{path}:{lineno}: {kind} id {value} is negative")
+    if value > _MAX_ID:
+        raise GraphFormatError(f"{path}:{lineno}: {kind} id {value} is too large")
     return value
 
 
@@ -277,72 +297,167 @@ def read_labels(label_path, node_count: int | None = None) -> dict[int, int]:
     return label_map
 
 
-def _parse(edge_path: Path, attr_path: Path, label_path, node_count, attribute_count):
-    """The arguments of ``from_edges`` for the documented text files."""
-    edges: dict[tuple[int, int], float] = {}
-    self_loops = 0
-    max_node = -1
-    for lineno, toks in _tokens(edge_path):
+# Each reader sends all of a file's tokens through one np.fromiter, whose
+# buffer grows in place.  Arrays made per block and concatenated after split
+# the heap: `embed`'s checkpoint then fitted in it or not as unrelated small
+# allocations fell, and the benchmark's `large-embed` peak RSS read 104 or
+# 121 MB; read this way it stays at 105.8-106.8 MB over seeds, paths and
+# bytecode caches.
+def _read_edges(path: Path):
+    """(src, dst, weight) of every edge line in file order, or None if a line
+    has the wrong number of fields or a token that does not convert."""
+    lengths, weight_tokens = [], []
+
+    def counted(rows):
+        lengths.extend(map(len, rows))
+        weight_tokens.extend(row[2] for row in rows if len(row) == 3)
+        return rows
+
+    ends = chain.from_iterable(map(itemgetter(0, 1), chain.from_iterable(
+        map(counted, _token_blocks(path)))))
+    try:
+        flat = np.fromiter(map(int, ends), dtype=np.int64)
+        given = np.fromiter(map(float, weight_tokens), dtype=np.float64,
+                            count=len(weight_tokens))
+    except (ValueError, OverflowError, IndexError):  # IndexError: a 1-field line
+        return None
+    fields = np.array(lengths, dtype=np.int64)
+    weighted = fields == 3
+    if not (weighted | (fields == 2)).all():
+        return None
+    weight = np.ones(len(fields))
+    weight[weighted] = given
+    return flat[0::2], flat[1::2], weight
+
+
+def _read_attributes(path: Path):
+    """(nodes, attr_node, attr_id) of the attribute lines in file order: each
+    line's node id, and one (node, attribute) pair per attribute token; None
+    if a token does not convert."""
+    lengths = []
+
+    def counted(rows):
+        lengths.extend(map(len, rows))
+        return rows
+
+    tokens = chain.from_iterable(chain.from_iterable(map(counted, _token_blocks(path))))
+    try:
+        flat = np.fromiter(map(int, tokens), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    fields = np.array(lengths, dtype=np.int64)
+    starts = np.cumsum(fields) - fields
+    is_attr = np.ones(len(flat), dtype=bool)
+    is_attr[starts] = False
+    nodes = flat[starts]
+    return nodes, np.repeat(nodes, fields - 1), flat[is_attr]
+
+
+def _outside(ids: np.ndarray, count: int | None) -> bool:
+    """Whether some id is negative or at or past a declared count."""
+    return len(ids) > 0 and (ids.min() < 0 or (count is not None and ids.max() >= count))
+
+
+def _check_edge_lines(path: Path, node_count) -> None:
+    """Raise GraphFormatError for the first line of an edge file that breaks
+    its format; each edge's first weight is kept only to word a conflict."""
+    first_weight: dict[tuple[int, int], float] = {}
+    for lineno, toks in _tokens(path):
         if len(toks) not in (2, 3):
             raise GraphFormatError(
-                f"{edge_path}:{lineno}: expected '<src> <dst> [weight]', got {len(toks)} fields"
+                f"{path}:{lineno}: expected '<src> <dst> [weight]', got {len(toks)} fields"
             )
-        u = _parse_id(toks[0], edge_path, lineno, "node")
-        v = _parse_id(toks[1], edge_path, lineno, "node")
+        u = _parse_id(toks[0], path, lineno, "node")
+        v = _parse_id(toks[1], path, lineno, "node")
         if len(toks) == 3:
             try:
                 w = float(toks[2])
             except ValueError:
                 raise GraphFormatError(
-                    f"{edge_path}:{lineno}: weight {toks[2]!r} is not a number"
+                    f"{path}:{lineno}: weight {toks[2]!r} is not a number"
                 ) from None
         else:
             w = 1.0
         if not np.isfinite(w) or w <= 0:
-            raise GraphFormatError(f"{edge_path}:{lineno}: weight must be a positive finite number")
+            raise GraphFormatError(f"{path}:{lineno}: weight must be a positive finite number")
         if node_count is not None and (u >= node_count or v >= node_count):
             raise GraphFormatError(
-                f"{edge_path}:{lineno}: node id exceeds declared node count {node_count}"
+                f"{path}:{lineno}: node id exceeds declared node count {node_count}"
             )
-        max_node = max(max_node, u, v)
         if u == v:
-            self_loops += 1
             continue
-        key = (u, v) if u < v else (v, u)
-        if key in edges and edges[key] != w:
+        previous = first_weight.setdefault((min(u, v), max(u, v)), w)
+        if previous != w:
             raise GraphFormatError(
-                f"{edge_path}:{lineno}: edge ({u}, {v}) repeated with conflicting "
-                f"weight {w} (previously {edges[key]})"
+                f"{path}:{lineno}: edge ({u}, {v}) repeated with conflicting "
+                f"weight {w} (previously {previous})"
             )
-        edges[key] = w
-    if self_loops:
-        log.warning("%s: dropped %d self-loop line(s)", edge_path, self_loops)
 
-    attr_node, attr_id = array("q"), array("q")
-    max_attr = -1
-    for lineno, toks in _tokens(attr_path):
-        u = _parse_id(toks[0], attr_path, lineno, "node")
+
+def _check_attribute_lines(path: Path, node_count, attribute_count) -> None:
+    """Raise GraphFormatError for the first line of an attribute file that
+    breaks its format."""
+    for lineno, toks in _tokens(path):
+        u = _parse_id(toks[0], path, lineno, "node")
         if node_count is not None and u >= node_count:
             raise GraphFormatError(
-                f"{attr_path}:{lineno}: node id {u} exceeds declared node count {node_count}"
+                f"{path}:{lineno}: node id {u} exceeds declared node count {node_count}"
             )
-        max_node = max(max_node, u)
         for tok in toks[1:]:
-            a = _parse_id(tok, attr_path, lineno, "attribute")
+            a = _parse_id(tok, path, lineno, "attribute")
             if attribute_count is not None and a >= attribute_count:
                 raise GraphFormatError(
-                    f"{attr_path}:{lineno}: attribute id {a} exceeds declared "
+                    f"{path}:{lineno}: attribute id {a} exceeds declared "
                     f"attribute count {attribute_count}"
                 )
-            max_attr = max(max_attr, a)
-            attr_node.append(u)
-            attr_id.append(a)
+
+
+def _reject_file(check_lines, path: Path, *counts) -> NoReturn:
+    """Raise the message of the first bad line of a file the array checks
+    flagged, found by reading it again line by line."""
+    check_lines(path, *counts)
+    raise RuntimeError(f"{path}: the array checks flag this file, the line checks pass it")
+
+
+def _parse(edge_path: Path, attr_path: Path, label_path, node_count, attribute_count):
+    """The arguments of ``from_edges`` for the documented text files.
+
+    Each file is converted to arrays and checked as a whole; a file the
+    checks flag is read again line by line only to word its first error, so
+    the ``file:line`` messages name the first bad line.
+    """
+    # edges: ids in range, weights positive and finite, and a line repeating
+    # an edge repeats the weight of its first line
+    edges = _read_edges(edge_path)
+    if edges is None:
+        _reject_file(_check_edge_lines, edge_path, node_count)
+    src, dst, weight = edges
+    if (_outside(src, node_count) or _outside(dst, node_count)
+            or not (np.isfinite(weight) & (weight > 0)).all()):
+        _reject_file(_check_edge_lines, edge_path, node_count)
+    loop = src == dst
+    lo, hi, w = np.minimum(src, dst)[~loop], np.maximum(src, dst)[~loop], weight[~loop]
+    order = _pair_order(lo, hi)
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(lo[order]) != 0) | (np.diff(hi[order]) != 0)
+    if (w[order] != w[order[first]][np.cumsum(first) - 1]).any():
+        _reject_file(_check_edge_lines, edge_path, node_count)
+    self_loops = int(loop.sum())
+    if self_loops:
+        log.warning("%s: dropped %d self-loop line(s)", edge_path, self_loops)
+    keep = np.sort(order[first])  # each edge once, in the order of its first line
+
+    attributes = _read_attributes(attr_path)
+    if (attributes is None or _outside(attributes[0], node_count)
+            or _outside(attributes[2], attribute_count)):
+        _reject_file(_check_attribute_lines, attr_path, node_count, attribute_count)
+    nodes, attr_node, attr_id = attributes
 
     label_map = read_labels(label_path, node_count) if label_path is not None else {}
-    max_node = max(max_node, max(label_map, default=-1))
-
+    max_node = max(max((int(a.max()) for a in (src, dst, nodes) if len(a)), default=-1),
+                   max(label_map, default=-1))
     n = node_count if node_count is not None else max_node + 1
-    m = attribute_count if attribute_count is not None else max_attr + 1
+    m = attribute_count if attribute_count is not None else int(attr_id.max(initial=-1)) + 1
 
     labels = None
     if label_path is not None:
@@ -350,10 +465,7 @@ def _parse(edge_path: Path, attr_path: Path, label_path, node_count, attribute_c
         for u, c in label_map.items():
             labels[u] = c
 
-    pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
-    weight = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
-    return (n, m, pairs[0::2], pairs[1::2], weight, np.frombuffer(attr_node, dtype=np.int64),
-            np.frombuffer(attr_id, dtype=np.int64), labels, self_loops)
+    return n, m, lo[keep], hi[keep], w[keep], attr_node, attr_id, labels, self_loops
 
 
 def load_graph(
@@ -372,7 +484,7 @@ def load_graph(
     line number for malformed lines, conflicting duplicate weights, or ids
     outside an explicitly declared range.
     """
-    # parsed in a helper, so its dict of edges is freed before the graph is built
+    # parsed in a helper, so its temporaries are freed before the graph is built
     return from_edges(*_parse(Path(edge_path), Path(attr_path), label_path,
                               node_count, attribute_count))
 

@@ -9,6 +9,9 @@ tests compare two separately derived routes to the same quantities.
 from __future__ import annotations
 
 import math
+from array import array
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
@@ -238,6 +241,135 @@ def naive_kmeans(points, k, restarts=10, seed=0, max_iter=300):
         if wcss < best_wcss:
             best, best_wcss = assignment, wcss
     return best
+
+
+class NaiveFormatError(ValueError):
+    """An input file ``naive_parse`` rejects; the message is the one the
+    loader gives for it."""
+
+
+def _naive_tokens(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            yield lineno, stripped.split()
+
+
+def _naive_id(token, path, lineno, kind):
+    try:
+        value = int(token)
+    except ValueError:
+        raise NaiveFormatError(f"{path}:{lineno}: {kind} id {token!r} is not an integer") from None
+    if value < 0:
+        raise NaiveFormatError(f"{path}:{lineno}: {kind} id {value} is negative")
+    if value >= 2 ** 63:
+        raise NaiveFormatError(f"{path}:{lineno}: {kind} id {value} is too large")
+    return value
+
+
+def _naive_labels(label_path, node_count):
+    label_map = {}
+    for lineno, toks in _naive_tokens(label_path):
+        if len(toks) != 2:
+            raise NaiveFormatError(
+                f"{label_path}:{lineno}: expected '<node-id> <class-id>', got {len(toks)} fields"
+            )
+        u = _naive_id(toks[0], label_path, lineno, "node")
+        c = _naive_id(toks[1], label_path, lineno, "class")
+        if node_count is not None and u >= node_count:
+            raise NaiveFormatError(
+                f"{label_path}:{lineno}: node id {u} exceeds declared node count {node_count}"
+            )
+        if u in label_map and label_map[u] != c:
+            raise NaiveFormatError(
+                f"{label_path}:{lineno}: node {u} relabeled from {label_map[u]} to {c}"
+            )
+        label_map[u] = c
+    return label_map
+
+
+def naive_parse(edge_path, attr_path, label_path=None, node_count=None, attribute_count=None):
+    """The arguments of ``graph.from_edges`` for the documented text files,
+    read one line and one token at a time into a dict of edges, as the
+    loader did before it converted blocks of lines to arrays (plus the
+    rejection of ids past int64).  NaiveFormatError names the first bad
+    line of the first bad file, in the order edges, attributes, labels."""
+    edge_path, attr_path = Path(edge_path), Path(attr_path)
+    edges = {}
+    self_loops = 0
+    max_node = -1
+    for lineno, toks in _naive_tokens(edge_path):
+        if len(toks) not in (2, 3):
+            raise NaiveFormatError(
+                f"{edge_path}:{lineno}: expected '<src> <dst> [weight]', got {len(toks)} fields"
+            )
+        u = _naive_id(toks[0], edge_path, lineno, "node")
+        v = _naive_id(toks[1], edge_path, lineno, "node")
+        if len(toks) == 3:
+            try:
+                w = float(toks[2])
+            except ValueError:
+                raise NaiveFormatError(
+                    f"{edge_path}:{lineno}: weight {toks[2]!r} is not a number"
+                ) from None
+        else:
+            w = 1.0
+        if not math.isfinite(w) or w <= 0:
+            raise NaiveFormatError(f"{edge_path}:{lineno}: weight must be a positive finite number")
+        if node_count is not None and (u >= node_count or v >= node_count):
+            raise NaiveFormatError(
+                f"{edge_path}:{lineno}: node id exceeds declared node count {node_count}"
+            )
+        max_node = max(max_node, u, v)
+        if u == v:
+            self_loops += 1
+            continue
+        key = (u, v) if u < v else (v, u)
+        if key in edges and edges[key] != w:
+            raise NaiveFormatError(
+                f"{edge_path}:{lineno}: edge ({u}, {v}) repeated with conflicting "
+                f"weight {w} (previously {edges[key]})"
+            )
+        edges[key] = w
+
+    attr_node, attr_id = array("q"), array("q")
+    max_attr = -1
+    for lineno, toks in _naive_tokens(attr_path):
+        u = _naive_id(toks[0], attr_path, lineno, "node")
+        if node_count is not None and u >= node_count:
+            raise NaiveFormatError(
+                f"{attr_path}:{lineno}: node id {u} exceeds declared node count {node_count}"
+            )
+        max_node = max(max_node, u)
+        for tok in toks[1:]:
+            a = _naive_id(tok, attr_path, lineno, "attribute")
+            if attribute_count is not None and a >= attribute_count:
+                raise NaiveFormatError(
+                    f"{attr_path}:{lineno}: attribute id {a} exceeds declared "
+                    f"attribute count {attribute_count}"
+                )
+            max_attr = max(max_attr, a)
+            attr_node.append(u)
+            attr_id.append(a)
+
+    label_map = _naive_labels(Path(label_path), node_count) if label_path is not None else {}
+    max_node = max(max_node, max(label_map, default=-1))
+
+    n = node_count if node_count is not None else max_node + 1
+    m = attribute_count if attribute_count is not None else max_attr + 1
+
+    labels = None
+    if label_path is not None:
+        labels = np.full(n, -1, dtype=np.int64)
+        for u, c in label_map.items():
+            labels[u] = c
+
+    pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    weight = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+    return (n, m, pairs[0::2], pairs[1::2], weight, np.frombuffer(attr_node, dtype=np.int64),
+            np.frombuffer(attr_id, dtype=np.int64), labels, self_loops)
 
 
 def fit_loglog_slope(x, y):

@@ -201,6 +201,7 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("bad_line, problem", [
         ("0 1", "relabeled from 0 to 1"),
         ("2 -3", "class id -3 is negative"),
+        ("2 99999999999999999999", "class id 99999999999999999999 is too large"),
     ])
     @pytest.mark.parametrize("command", [
         ["evaluate", "--task", "classify"],
@@ -349,6 +350,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {field} must be" in err and "internal error" not in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("file, line, problem", [
+        (0, "1 99999999999999999999", "node id 99999999999999999999 is too large"),
+        (1, "2 3 18446744073709551616", "attribute id 18446744073709551616 is too large"),
+        (2, "9223372036854775808 1", "node id 9223372036854775808 is too large"),
+    ], ids=["edges", "attributes", "labels"])
+    def test_id_past_int64_is_user_error(self, toy_files, tmp_path, capsys, file, line,
+                                         problem):
+        # no --nodes / --attrs, so nothing but the id's size can reject it
+        path = toy_files[file]
+        lineno = len(path.read_text().splitlines()) + 1
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        assert main(train_args(toy_files, tmp_path / "x", ["--epochs", "1"])) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}:{lineno}: {problem}" in err
+        assert "internal error" not in err
 
     def test_log_level_env_var(self, toy_files, tmp_path, capsys, monkeypatch):
         import logging

@@ -1,15 +1,18 @@
 import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuralbrane import graph
 from neuralbrane.graph import (
     AttributedGraph, GraphFormatError, Rows, _pair_order, from_edges, load_graph, write_graph,
 )
 
 from .conftest import TOY_EDGES, write_toy_files
+from .oracles import NaiveFormatError, naive_parse
 
 
 def graphs_equal(a: AttributedGraph, b: AttributedGraph) -> bool:
@@ -229,6 +232,79 @@ class TestInvariants:
         write_graph(g, *paths)
         reloaded = load_graph(*paths, node_count=n, attribute_count=m)
         assert graphs_equal(g, reloaded)
+
+
+# Files for the parser fuzz.
+# Valid ids are small, some in spellings only ``int`` takes, so edges recur,
+# with equal weights in several spellings and with conflicting ones.
+_IDS = st.one_of(st.integers(0, 3).map(str), st.sampled_from(["+3", "1_0", "\u0663", "07"]))
+_BAD_IDS = st.sampled_from(["x", "-1", "1.5", "0x1", "#", str(2**63), "99999999999999999999",
+                            "-99999999999999999999"])
+_WEIGHTS = st.sampled_from(["1", "1.0", "1e0", "2.5"])
+_BAD_WEIGHTS = st.sampled_from(["0", "-2", "nan", "inf", "-inf", "1e400", "w"])
+
+
+def _joined(tokens):
+    """Lines of the drawn tokens, with varied separators and indents."""
+    return st.tuples(tokens, st.sampled_from([" ", "\t", "  "]),
+                     st.sampled_from(["", " ", "\t"])).map(lambda t: t[2] + t[1].join(t[0]))
+
+
+def _file(valid, defect):
+    """Lines of ``valid`` tokens, blank and comment lines, and at times one
+    ``defect`` line among them."""
+    junk = st.sampled_from(["", "   ", "# comment", "#1 2", "  #\t1 2", "#"])
+    lines = st.lists(st.one_of(_joined(valid), junk), max_size=10)
+    return st.tuples(lines, st.one_of(st.none(), defect), st.integers(0, 10)).map(
+        lambda t: t[0] if t[1] is None else [*t[0][:t[2]], t[1], *t[0][t[2]:]])
+
+
+_EDGE_FILE = _file(
+    st.one_of(st.tuples(_IDS, _IDS), st.tuples(_IDS, _IDS, _WEIGHTS),
+              st.integers(0, 3).map(lambda u: (str(u), str(u)))),  # self-loop
+    st.one_of(
+        _joined(st.one_of(st.tuples(_BAD_IDS, _IDS), st.tuples(_IDS, _BAD_IDS, _WEIGHTS),
+                          st.tuples(_IDS, _IDS, _BAD_WEIGHTS), st.tuples(_IDS),
+                          st.tuples(_IDS, _IDS, _WEIGHTS, _IDS))),
+        # one edge twice, reversed, with equal or conflicting weights
+        st.tuples(_IDS, _IDS, _WEIGHTS, _WEIGHTS).map(
+            lambda t: f"{t[0]} {t[1]} {t[2]}\n{t[1]} {t[0]} {t[3]}")))
+_ATTR_FILE = _file(st.lists(_IDS, min_size=1, max_size=5),
+                   _joined(st.lists(st.one_of(_IDS, _BAD_IDS), min_size=1, max_size=5)))
+_LABEL_FILE = _file(st.tuples(_IDS, st.sampled_from(["0", "1", "2"])),
+                    _joined(st.lists(st.one_of(_IDS, _BAD_IDS), min_size=1, max_size=3)))
+
+
+class TestParserFuzz:
+    """``load_graph`` against ``naive_parse``, the line-by-line loader, on files
+    mixing valid lines with every kind of defect: the same arrays, or the same
+    message for the first bad line, and never another exception."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_line_by_line_loader(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("fuzz")
+        paths = [directory / name for name in ("e.txt", "a.txt", "l.txt")]
+        for path, lines in zip(paths, (_EDGE_FILE, _ATTR_FILE, _LABEL_FILE)):
+            ending = data.draw(st.sampled_from(["\n", "\r\n"]))
+            path.write_bytes("".join(line + ending for line in data.draw(lines)).encode())
+        if not data.draw(st.booleans()):
+            paths[2] = None
+        counts = dict(node_count=data.draw(st.sampled_from([None, 4, 11])),
+                      attribute_count=data.draw(st.sampled_from([None, 4, 11])))
+        # small blocks put block boundaries between the lines (1 byte: every line)
+        blocks = patch.object(graph, "_BLOCK_BYTES", data.draw(st.sampled_from([1, 20, 1 << 20])))
+        try:
+            expected = from_edges(*naive_parse(*paths, **counts))
+        except NaiveFormatError as exc:
+            with blocks, pytest.raises(GraphFormatError) as raised:
+                load_graph(*paths, **counts)
+            assert str(raised.value) == str(exc)
+        else:
+            with blocks:
+                got = load_graph(*paths, **counts)
+            assert graphs_equal(got, expected)
+            assert got.self_loops_dropped == expected.self_loops_dropped
 
 
 def _rows(lists, dtype) -> Rows:
