@@ -106,13 +106,55 @@ def split_train_test(labels: np.ndarray, ratio: float, seed=0):
     raise ValueError("could not draw a split covering every class in train")
 
 
-def _design(features: np.ndarray, targets: np.ndarray, num_classes: int):
-    """The transposed bias-augmented design, (dim+1 × n), and the
-    (classes × n) one-hot targets."""
-    n = features.shape[0]
-    onehot = np.zeros((num_classes, n))
-    onehot[targets, np.arange(n)] = 1.0
-    return np.vstack([features.T, np.ones((1, n))]), onehot
+def _softmax_step(features: np.ndarray, targets: np.ndarray, num_classes: int,
+                  train: np.ndarray, penalty: float):
+    """The loss and gradient of the softmax classifiers of several fits over
+    shared rows, as a function of their bias-augmented weights.
+
+    ``train`` is the (fits × n) boolean mask of each fit's train rows.  The
+    returned ``step(weights)`` takes weights of shape (fits, classes, dim + 1)
+    and gives each fit's mean cross-entropy over its train rows plus an L2
+    penalty on its non-bias weights, and the gradient of that: (fits,)
+    losses and a gradient shaped like the weights.
+
+    It works class-major on one (fits, classes, n) block, in place: logits
+    from one (fits·classes × dim) @ (dim × n) GEMM plus the bias column,
+    softmax along the class axis, then the residual, zeroed outside each
+    fit's train rows, into one (fits·classes × n) @ (n × dim) GEMM and the
+    bias gradient's row sums.  Every fit computes every row, so a non-finite
+    value in any row reaches every fit.
+    """
+    fits, n = train.shape
+    dim = features.shape[1]
+    fit_of, row_of = np.nonzero(train)
+    hits = (fit_of * num_classes + targets[row_of]) * n + row_of  # train rows at their class
+    starts = np.searchsorted(fit_of, np.arange(fits))
+    weight = train.astype(np.float64)
+    counts = weight.sum(axis=1)
+    block = np.empty((fits, num_classes, n))
+    logits = block.reshape(fits * num_classes, n)
+    flat = block.reshape(-1)
+
+    def step(weights: np.ndarray):
+        probs = block  # a local name: the in-place operators below rebind it
+        np.matmul(weights[:, :, :-1].reshape(fits * num_classes, dim), features.T, out=logits)
+        probs += weights[:, :, -1:]
+        probs -= probs.max(axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs *= 1.0 / probs.sum(axis=1, keepdims=True)
+        loss = -np.add.reduceat(np.log(np.maximum(flat[hits], 1e-300)), starts) / counts
+        probs *= weight[:, None, :]
+        flat[hits] -= 1.0
+        grad = np.empty_like(weights)
+        grad[:, :, :-1] = (logits @ features).reshape(fits, num_classes, dim)
+        grad[:, :, -1] = probs.sum(axis=2)
+        grad /= counts[:, None, None]
+        if penalty:
+            loss += penalty * np.sum(weights[:, :, :-1] ** 2, axis=(1, 2))
+            grad[:, :, :-1] += 2.0 * penalty * weights[:, :, :-1]
+        return loss, grad
+
+    return step
 
 
 def softmax_cross_entropy(weights: np.ndarray, features: np.ndarray,
@@ -120,55 +162,54 @@ def softmax_cross_entropy(weights: np.ndarray, features: np.ndarray,
                           penalty: float = LOGREG_PENALTY):
     """Mean cross-entropy of a bias-augmented softmax classifier plus an L2
     penalty on the non-bias weights; returns (loss, gradient)."""
-    design, onehot = _design(features, targets, num_classes)
-    return _cross_entropy(weights, design, onehot, targets, penalty)
-
-
-def _cross_entropy(weights, design, onehot, targets, penalty):
-    """softmax_cross_entropy on the transposed design and one-hot targets of
-    ``_design``.  Works class-major: the logits are (classes × n), so the
-    reductions over the few classes run along axis 0 across whole rows."""
-    n = design.shape[1]
-    logits = weights @ design
-    logits -= logits.max(axis=0)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=0)
-    picked = probs[targets, np.arange(n)]
-    loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-    probs -= onehot
-    grad = probs @ design.T / n
-    if penalty:
-        loss += penalty * float(np.sum(weights[:, :-1] ** 2))
-        grad[:, :-1] += 2.0 * penalty * weights[:, :-1]
-    return loss, grad
+    features = np.asarray(features, dtype=np.float64)
+    step = _softmax_step(features, np.asarray(targets), num_classes,
+                         np.ones((1, features.shape[0]), dtype=bool), penalty)
+    loss, grad = step(np.asarray(weights, dtype=np.float64)[None])
+    return float(loss[0]), grad[0]
 
 
 def train_linear_classifier(features: np.ndarray, targets: np.ndarray,
-                            num_classes: int, *, penalty: float = LOGREG_PENALTY,
+                            num_classes: int, *, train: np.ndarray | None = None,
+                            penalty: float = LOGREG_PENALTY,
                             iterations: int = LOGREG_ITERATIONS,
                             learning_rate: float = LOGREG_LEARNING_RATE) -> np.ndarray:
-    """Full-batch gradient descent on softmax cross-entropy.
+    """Full-batch gradient descent on softmax cross-entropy, for one fit or
+    for several fits that share their rows.
 
-    Features are used raw (no scaling).  Returns a bias-augmented weight
-    matrix of shape (num_classes, dim + 1).
+    ``features`` (n × dim) are used raw (no scaling), and ``targets`` holds
+    each row's class.  ``train`` is the boolean mask of the rows a fit
+    trains on: shape (n,) for one fit, (fits, n) for several, and every row
+    for one fit by default.  Returns bias-augmented weights of shape
+    (num_classes, dim + 1) per fit: (fits, num_classes, dim + 1) for a
+    2-d mask.  All fits take each step together (``_softmax_step``); a fit
+    whose loss goes non-finite raises RuntimeError.
     """
+    features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets)
-    present = np.unique(targets)
-    if len(present) < 2:
+    n, dim = features.shape
+    mask = np.ones(n, dtype=bool) if train is None else np.asarray(train, dtype=bool)
+    masks = mask.reshape(-1, n)
+    if any(len(np.unique(targets[m])) < 2 for m in masks):
         raise ValueError("training set must contain at least two classes")
-    design, onehot = _design(features, targets, num_classes)
-    weights = np.zeros((num_classes, features.shape[1] + 1))
+    step = _softmax_step(features, targets, num_classes, masks, penalty)
+    weights = np.zeros((len(masks), num_classes, dim + 1))
     for _ in range(iterations):
-        loss, grad = _cross_entropy(weights, design, onehot, targets, penalty)
-        if not np.isfinite(loss):
+        loss, grad = step(weights)
+        if not np.isfinite(loss).all():
             raise RuntimeError("classifier loss went non-finite")
         weights -= learning_rate * grad
-    return weights
+    return weights.reshape(mask.shape[:-1] + weights.shape[1:])
 
 
 def predict_linear(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    augmented = np.hstack([features, np.ones((features.shape[0], 1))])
-    return np.argmax(augmented @ weights.T, axis=1)
+    """Each row's class under bias-augmented weights (classes, dim + 1), or
+    one row of classes per fit for weights (fits, classes, dim + 1)."""
+    *fits, classes, width = weights.shape
+    logits = weights[..., :-1].reshape(-1, width - 1) @ np.asarray(features).T
+    logits = logits.reshape(*fits, classes, -1)
+    logits += weights[..., -1:]
+    return np.argmax(logits, axis=-2)
 
 
 def macro_f1(y_true, y_pred, num_classes: int) -> float:
@@ -367,6 +408,19 @@ def project_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return out
 
 
+def _train_splits(features, targets, train, num_classes) -> np.ndarray:
+    """Weights (fits, classes, dim + 1) of one classifier per row of the
+    (fits × n) mask ``train``.  A stacked step computes every row for every
+    fit, so the fits train together only when each trains on at least half
+    of the rows; otherwise each fit trains alone on its own rows.  At
+    CiteSeer shape, 10 fits took 2.8-3.1 s stacked against 1.7-2.0 s alone
+    on 30 % of the rows, and 3.1 s against 3.7 s on 50 % (one BLAS thread)."""
+    if 2 * int(train.sum(axis=1).min()) >= train.shape[1]:
+        return train_linear_classifier(features, targets, num_classes, train=train)
+    return np.stack([train_linear_classifier(features[fit], targets[fit], num_classes)
+                     for fit in train])
+
+
 @_values_in_range()
 def run_classification_eval(features: np.ndarray, labels: np.ndarray,
                             ratios=(0.3, 0.5, 0.7), repeats: int = 10,
@@ -374,22 +428,29 @@ def run_classification_eval(features: np.ndarray, labels: np.ndarray,
     """Repeated random-split logistic-regression evaluation.
 
     ``features`` rows must align with ``labels``; unlabeled entries (-1) are
-    ignored.  Splits are seeded deterministically per (ratio, repeat).
+    ignored, and the class ids need not run 0..K-1.  Splits are seeded
+    deterministically per (ratio, repeat), and the repeats of a ratio are
+    trained as one group of fits over the labeled rows.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, not {repeats}")
     labels = np.asarray(labels)
-    num_classes = int(labels.max()) + 1
+    labeled = np.flatnonzero(labels >= 0)
+    classes, targets = np.unique(labels[labeled], return_inverse=True)
+    num_classes = len(classes)
+    rows = np.asarray(features)
+    if len(labeled) < len(labels):  # a fully labeled embedding is used without a copy
+        rows = rows[labeled]
     means, stds, runs_per_ratio = [], [], []
     for r_idx, ratio in enumerate(ratios):
-        scores = []
+        train = np.zeros((repeats, len(labeled)), dtype=bool)
         for rep in range(repeats):
             split_seed = np.random.SeedSequence((seed, r_idx, rep))
-            train_idx, test_idx = split_train_test(labels, ratio, seed=split_seed)
-            weights = train_linear_classifier(features[train_idx], labels[train_idx],
-                                              num_classes)
-            predicted = predict_linear(weights, features[test_idx])
-            scores.append(macro_f1(labels[test_idx], predicted, num_classes))
+            train_idx, _ = split_train_test(labels, ratio, seed=split_seed)
+            train[rep, np.searchsorted(labeled, train_idx)] = True
+        predicted = predict_linear(_train_splits(rows, targets, train, num_classes), rows)
+        scores = [macro_f1(targets[~fit], guess[~fit], num_classes)
+                  for fit, guess in zip(train, predicted)]
         means.append(float(np.mean(scores)))
         stds.append(float(np.std(scores)))
         runs_per_ratio.append(tuple(scores))

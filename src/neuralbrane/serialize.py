@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import os
 import struct
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -69,15 +71,71 @@ def write_embedding_text(table: EmbeddingTable, path) -> None:
 def read_embedding_text(path) -> EmbeddingTable:
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise SerializationError(f"{path}: expected '<n> <dim>' header")
-        try:
-            n, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise SerializationError(f"{path}: non-integer header fields") from None
-        ids = np.empty(n, dtype=np.int64)
-        vectors = np.empty((n, dim), dtype=np.float64)
+        n, dim = _read_header(path, fh)
+        rows = _read_rows(fh, n, dim) if n >= 0 and dim >= 0 else None
+        if rows is None:
+            _check_rows(path, n, dim)
+            raise RuntimeError(f"{path}: the array reader flags this file, the row checks pass it")
+        for extra, line in enumerate(fh, n):
+            if line.strip():
+                raise SerializationError(
+                    f"{path}: row {extra} is past the {n} rows the header declares"
+                )
+    ids, vectors = rows
+    order = np.argsort(ids, kind="stable")
+    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
+    if len(repeats):
+        row = int(repeats.min())
+        raise SerializationError(f"{path}: row {row} repeats node id {ids[row]}")
+    _check_finite(path, vectors)
+    return EmbeddingTable(vectors=vectors, ids=ids)
+
+
+def _read_header(path: Path, fh) -> tuple[int, int]:
+    header = fh.readline().split()
+    if len(header) != 2:
+        raise SerializationError(f"{path}: expected '<n> <dim>' header")
+    try:
+        return int(header[0]), int(header[1])
+    except ValueError:
+        raise SerializationError(f"{path}: non-integer header fields") from None
+
+
+def _read_rows(fh, n: int, dim: int):
+    """(ids, vectors) of the ``n`` rows after the header, all values through
+    one ``np.fromiter(map(float, …))`` with the exact count, so the table is
+    allocated once and no list of the file's tokens is built, and the ids
+    into an int64 array as each row is split; None if the file ends early, a
+    row has the wrong number of fields or a token does not convert."""
+    ids = array("q")
+
+    def values(line: str) -> list[str]:
+        toks = line.split()
+        if len(toks) != dim + 1:
+            raise ValueError
+        ids.append(int(toks[0]))
+        return toks[1:]
+
+    rows = map(values, islice(fh, n))
+    try:
+        vectors = np.fromiter(map(float, chain.from_iterable(rows)), dtype=np.float64,
+                              count=n * dim)
+        for _ in rows:  # with dim 0 the values take no row
+            pass
+    except (ValueError, OverflowError):
+        return None
+    if len(ids) != n:
+        return None
+    return np.frombuffer(ids, dtype=np.int64), vectors.reshape(n, dim)
+
+
+def _check_rows(path: Path, n: int, dim: int) -> None:
+    """Raise the error of the first bad row of a file the array reader
+    flagged, found by reading its rows again one at a time."""
+    ids = np.empty(n, dtype=np.int64)
+    vectors = np.empty((n, dim), dtype=np.float64)
+    with path.open("r", encoding="utf-8") as fh:
+        fh.readline()
         for row in range(n):
             toks = fh.readline().split()
             if len(toks) != dim + 1:
@@ -88,19 +146,9 @@ def read_embedding_text(path) -> EmbeddingTable:
                 ids[row] = int(toks[0])
                 vectors[row] = [float(t) for t in toks[1:]]
             except (ValueError, OverflowError) as exc:
-                raise SerializationError(f"{path}: row {row} holds a bad number ({exc})") from None
-        for extra, line in enumerate(fh, n):
-            if line.strip():
                 raise SerializationError(
-                    f"{path}: row {extra} is past the {n} rows the header declares"
-                )
-    order = np.argsort(ids, kind="stable")
-    repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
-    if len(repeats):
-        row = int(repeats.min())
-        raise SerializationError(f"{path}: row {row} repeats node id {ids[row]}")
-    _check_finite(path, vectors)
-    return EmbeddingTable(vectors=vectors, ids=ids)
+                    f"{path}: row {row} holds a bad number ({exc})"
+                ) from None
 
 
 def _check_finite(path, vectors: np.ndarray) -> None:

@@ -193,6 +193,57 @@ def rowmajor_softmax_cross_entropy(weights, features, targets, num_classes, pena
     return loss, grad
 
 
+def perfit_train_linear_classifier(features, targets, num_classes, penalty=1e-4,
+                                   iterations=500, learning_rate=0.1):
+    """The one-fit-at-a-time trainer that ``evaluate.train_linear_classifier``
+    replaced: full-batch gradient descent on the class-major cross-entropy
+    over a transposed bias-augmented design holding only the fit's rows,
+    raising RuntimeError once the loss goes non-finite."""
+    n = features.shape[0]
+    design = np.vstack([features.T, np.ones((1, n))])
+    onehot = np.zeros((num_classes, n))
+    onehot[targets, np.arange(n)] = 1.0
+    weights = np.zeros((num_classes, features.shape[1] + 1))
+    for _ in range(iterations):
+        logits = weights @ design
+        logits -= logits.max(axis=0)
+        exp = np.exp(logits)
+        probs = exp / exp.sum(axis=0)
+        loss = float(-np.mean(np.log(np.maximum(probs[targets, np.arange(n)], 1e-300))))
+        grad = (probs - onehot) @ design.T / n
+        if penalty:
+            loss += penalty * float(np.sum(weights[:, :-1] ** 2))
+            grad[:, :-1] += 2.0 * penalty * weights[:, :-1]
+        if not np.isfinite(loss):
+            raise RuntimeError("classifier loss went non-finite")
+        weights -= learning_rate * grad
+    return weights
+
+
+def perfit_classification_scores(features, labels, ratios, repeats, seed, split):
+    """Each ratio's Macro-F1 scores as the per-fit evaluation computed them:
+    one split, one ``perfit_train_linear_classifier`` fit on the split's
+    train rows and predictions on its test rows per (ratio, repeat), with
+    the class ids first mapped to 0..K-1.  ``split`` is the package's
+    ``split_train_test``, so both sides draw the same splits."""
+    labels = np.asarray(labels)
+    labeled = labels >= 0
+    classes, dense = np.unique(labels[labeled], return_inverse=True)
+    mapped = np.full(len(labels), -1)
+    mapped[labeled] = dense
+    scores = []
+    for r_idx, ratio in enumerate(ratios):
+        row = []
+        for rep in range(repeats):
+            train, test = split(mapped, ratio, seed=np.random.SeedSequence((seed, r_idx, rep)))
+            weights = perfit_train_linear_classifier(features[train], mapped[train], len(classes))
+            augmented = np.hstack([features[test], np.ones((len(test), 1))])
+            predicted = np.argmax(augmented @ weights.T, axis=1)
+            row.append(naive_macro_f1(mapped[test].tolist(), predicted.tolist(), len(classes)))
+        scores.append(row)
+    return scores
+
+
 def naive_kmeans(points, k, restarts=10, seed=0, max_iter=300):
     """One restart at a time: k-means++ seeding, then Lloyd steps with a
     masked mean per cluster and an emptied cluster re-seeded at the point
@@ -241,6 +292,43 @@ def naive_kmeans(points, k, restarts=10, seed=0, max_iter=300):
         if wcss < best_wcss:
             best, best_wcss = assignment, wcss
     return best
+
+
+def rowwise_read_embedding_text(path, error):
+    """The text embedding reader that converted one row at a time: (ids,
+    vectors), or ``error`` (the package's SerializationError) raised with
+    the message the reader gives for the first problem in the file."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise error(f"{path}: expected '<n> <dim>' header")
+        try:
+            n, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise error(f"{path}: non-integer header fields") from None
+        ids = np.empty(n, dtype=np.int64)
+        vectors = np.empty((n, dim), dtype=np.float64)
+        for row in range(n):
+            toks = fh.readline().split()
+            if len(toks) != dim + 1:
+                raise error(f"{path}: row {row} has {len(toks)} fields, expected {dim + 1}")
+            try:
+                ids[row] = int(toks[0])
+                vectors[row] = [float(t) for t in toks[1:]]
+            except (ValueError, OverflowError) as exc:
+                raise error(f"{path}: row {row} holds a bad number ({exc})") from None
+        for extra, line in enumerate(fh, n):
+            if line.strip():
+                raise error(f"{path}: row {extra} is past the {n} rows the header declares")
+    for row in range(n):
+        for earlier in range(row):
+            if ids[earlier] == ids[row]:
+                raise error(f"{path}: row {row} repeats node id {ids[row]}")
+    for row in range(n):
+        if not np.isfinite(vectors[row]).all():
+            raise error(f"{path}: row {row} holds a non-finite value")
+    return ids, vectors
 
 
 class NaiveFormatError(ValueError):

@@ -153,6 +153,22 @@ class TestEvaluateCommand:
         assert lines[1].startswith("classify,0.5,2,")
         assert "macro-F1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("task", ["classify", "cluster"])
+    def test_sparse_class_ids_give_the_dense_report(self, trained, tmp_path, capsys, task):
+        # class c becomes c * 10**12: same order, but far past a one-hot sized by id
+        emb, labels = trained
+        sparse = tmp_path / "sparse_labels.txt"
+        sparse.write_text("".join(f"{u} {int(c) * 10**12}\n" for u, c in
+                                  (line.split() for line in labels.read_text().splitlines())))
+        reports = []
+        for label_file in (labels, sparse):
+            report = tmp_path / f"{label_file.stem}.csv"
+            assert main(["evaluate", "--embeddings", str(emb), "--labels", str(label_file),
+                         "--task", task, "--ratios", "0.3,0.7", "--repeats", "2",
+                         "--report", str(report)]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_cluster_report(self, trained, tmp_path, capsys):
         emb, labels = trained
         report = tmp_path / "report.csv"

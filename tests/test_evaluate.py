@@ -23,6 +23,8 @@ from .oracles import (
     naive_nmi,
     naive_purity,
     naive_wcss,
+    perfit_classification_scores,
+    perfit_train_linear_classifier,
     relative_error,
     rowmajor_softmax_cross_entropy,
 )
@@ -127,6 +129,62 @@ class TestLinearClassifier:
             ref_loss, ref_grad = rowmajor_softmax_cross_entropy(weights, X, y, classes, 1e-3)
             assert relative_error(loss, ref_loss) <= 1e-12
             assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+class TestStackedTrainerMatchesPerFitLoop:
+    """``train_linear_classifier`` takes the steps of several fits together
+    over shared rows; ``perfit_train_linear_classifier`` is the loop over one
+    fit's own rows that it replaced.  Summation order differs, so weights
+    agree to 1e-12 relative rather than bit for bit."""
+
+    @pytest.mark.parametrize("fits", [1, 3, 10])
+    @pytest.mark.parametrize("penalty", [0.0, 1e-4])
+    def test_weights(self, rng, fits, penalty):
+        X = rng.normal(size=(90, 5)) * 2.0
+        y = rng.integers(0, 4, size=90)
+        # train sets of 20 % to 90 % of the rows
+        train = rng.random((fits, 90)) < np.linspace(0.2, 0.9, fits)[:, None]
+        weights = train_linear_classifier(X, y, 4, train=train, penalty=penalty)
+        assert weights.shape == (fits, 4, 6)
+        for fit, got in zip(train, weights):
+            ref = perfit_train_linear_classifier(X[fit], y[fit], 4, penalty=penalty)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_fit_mask_and_default(self, rng):
+        X = rng.normal(size=(40, 3))
+        y = rng.integers(0, 3, size=40)
+        fit = rng.random(40) < 0.6
+        masked = train_linear_classifier(X, y, 3, train=fit)
+        own_rows = train_linear_classifier(X[fit], y[fit], 3)
+        assert masked.shape == own_rows.shape == (3, 4)
+        assert np.max(np.abs(masked - own_rows)) <= 1e-12 * np.max(np.abs(own_rows))
+        assert np.array_equal(train_linear_classifier(X, y, 3),
+                              train_linear_classifier(X, y, 3, train=np.ones((1, 40), bool))[0])
+
+    def test_one_fit_going_non_finite_raises(self, rng):
+        X = rng.normal(size=(30, 3))
+        X[0] = 1e200  # only the second fit trains on row 0, and its step overflows
+        y = np.arange(30) % 3
+        train = np.ones((3, 30), dtype=bool)
+        train[[0, 2], 0] = False
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite"):
+            train_linear_classifier(X, y, 3, train=train, iterations=5)
+
+    def test_single_class_fit_in_stack_rejected(self, rng):
+        X = rng.normal(size=(10, 3))
+        y = np.array([0] * 5 + [1] * 5)
+        train = np.ones((2, 10), dtype=bool)
+        train[1, 5:] = False
+        with pytest.raises(ValueError, match="two classes"):
+            train_linear_classifier(X, y, 2, train=train)
+
+    def test_stacked_predictions_match_one_at_a_time(self, rng):
+        X = rng.normal(size=(50, 4))
+        weights = rng.normal(size=(3, 5, 5))
+        stacked = predict_linear(weights, X)
+        assert stacked.shape == (3, 50)
+        for w, row in zip(weights, stacked):
+            assert np.array_equal(predict_linear(w, X), row)
 
 
 class TestMacroF1:
@@ -327,6 +385,25 @@ class TestReports:
         rng.shuffle(y)
         report = run_classification_eval(X, y, ratios=(0.5,), repeats=10, seed=3)
         assert abs(report.macro_f1_mean[0] - 0.25) < 0.1
+
+    def test_matches_per_fit_evaluation(self, rng):
+        # ratio 0.3 trains each fit alone, 0.5 and 0.7 stack the repeats
+        X = rng.normal(size=(120, 6)) + np.repeat(rng.normal(size=(3, 6)), 40, axis=0)
+        y = np.repeat(np.arange(3), 40)
+        y[rng.random(120) < 0.1] = -1
+        report = run_classification_eval(X, y, ratios=(0.3, 0.5, 0.7), repeats=3, seed=5)
+        expected = perfit_classification_scores(X, y, (0.3, 0.5, 0.7), 3, 5, split_train_test)
+        for got, ref in zip(report.macro_f1_runs, expected):
+            assert np.max(np.abs(np.array(got) - ref)) <= 1e-12
+
+    def test_class_ids_need_not_run_from_zero(self, rng):
+        X, y = blobs(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.5)], per_class=40, scale=1.5)
+        y[::9] = -1
+        base = run_classification_eval(X, y, ratios=(0.3, 0.5), repeats=3, seed=2)
+        for ids in ([1, 2, 3], [0, 2, 7], [5, 9, 10**12]):  # same order: same sums
+            mapped = np.where(y >= 0, np.array(ids)[y], -1)
+            report = run_classification_eval(X, mapped, ratios=(0.3, 0.5), repeats=3, seed=2)
+            assert report.macro_f1_runs == base.macro_f1_runs
 
     def test_clustering_report(self, rng):
         X, y = blobs(rng, [(-8.0, 0.0), (8.0, 0.0), (0.0, 9.0)], per_class=20)

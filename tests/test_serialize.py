@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralbrane.model import init_parameters, load_checkpoint, save_checkpoint
 from neuralbrane.serialize import (
@@ -11,6 +13,8 @@ from neuralbrane.serialize import (
     write_embedding_binary,
     write_embedding_text,
 )
+
+from .oracles import rowwise_read_embedding_text
 
 
 def test_text_round_trip(tmp_path, rng):
@@ -169,3 +173,53 @@ def test_binary_reader_rejects_non_finite(tmp_path):
     write_embedding_binary(EmbeddingTable(vectors=vectors), tmp_path / "emb.bin")
     with pytest.raises(SerializationError, match="row 1 holds a non-finite value"):
         read_embedding(tmp_path / "emb.bin")
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["1", "-0", "1e400", "-1e400", "nan", "inf", "1_0", "+.5", "x", "1.5.2"]),
+)
+_IDS = st.one_of(st.integers(0, 6).map(str),
+                 st.sampled_from(["-3", "2**3", "9223372036854775808", "1.0", "0x1"]))
+
+
+@st.composite
+def _text_embedding(draw):
+    """An embedding text file, mostly well formed: a header, rows of an id and
+    values (some with a token more or less, bad numbers, repeated ids),
+    blank and extra lines after the rows, or too few rows."""
+    n = draw(st.integers(0, 5))
+    dim = draw(st.integers(0, 3))
+    header = draw(st.sampled_from([f"{n} {dim}", f"{n} {dim}", f"{n}", f"{n} x", f"-1 {dim}"]))
+    rows = []
+    for _ in range(draw(st.integers(max(n - 1, 0), n + 1))):
+        width = draw(st.sampled_from([dim, dim, dim, dim - 1, dim + 1]))
+        values = draw(st.lists(st.one_of(st.floats(-1e3, 1e3).map(repr), _FLOATS),
+                               min_size=max(width, 0), max_size=max(width, 0)))
+        rows.append(" ".join([draw(_IDS), *values]))
+    tail = draw(st.sampled_from(["", "\n", "\n  \n", "\n7 1 2\n"]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join([header, *rows]) + ending + tail
+
+
+class TestTextReaderMatchesRowReader:
+    """``read_embedding_text`` converts a file's values with one np.fromiter;
+    ``rowwise_read_embedding_text`` is the row-at-a-time reader it replaced.
+    They give the same table, or the same SerializationError message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_text_embedding())
+    def test_same_table_or_message(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("emb") / "e.txt"
+        path.write_bytes(text.encode())
+        try:
+            ids, vectors = rowwise_read_embedding_text(path, SerializationError)
+        except (SerializationError, ValueError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                read_embedding_text(path)
+            assert str(raised.value) == str(exc)
+        else:
+            table = read_embedding_text(path)
+            assert np.array_equal(table.ids, ids)
+            assert table.vectors.shape == vectors.shape
+            assert np.array_equal(table.vectors, vectors)
