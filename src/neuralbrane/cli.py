@@ -28,7 +28,7 @@ import numpy as np
 
 from .evaluate import run_classification_eval, run_clustering_eval, project_2d
 from .graph import GraphFormatError, load_graph, read_labels
-from .model import embed_all, load_checkpoint, save_checkpoint
+from .model import embed_all, embed_blocks, load_checkpoint, save_checkpoint
 from .sampler import SamplingError
 from .serialize import (
     EmbeddingTable,
@@ -159,11 +159,12 @@ def _train_config(args) -> TrainConfig:
     return TrainConfig(**{name: getattr(args, name) for name in _TRAIN_FIELDS})
 
 
-def _write_embedding(table: EmbeddingTable, path: str, fmt: str) -> None:
-    if fmt == "binary":
-        write_embedding_binary(table, path)
-    else:
-        write_embedding_text(table, path)
+def _export(params, g: "AttributedGraph", args, pooling: str) -> None:
+    """Write every node's embedding to ``args.out``, one ``EMBED_BLOCK`` of
+    rows at a time."""
+    write = write_embedding_binary if args.emb_format == "binary" else write_embedding_text
+    dim = params.h if args.export_layer == "h" else params.d
+    write(embed_blocks(params, g, args.export_layer, pooling), args.out, (g.node_count, dim))
 
 
 def cmd_train(args) -> int:
@@ -178,8 +179,7 @@ def cmd_train(args) -> int:
 
     checkpoint = args.checkpoint or f"{args.out}.ckpt"
     save_checkpoint(params, checkpoint)
-    table = embed_all(params, g, layer=args.export_layer, pooling=args.pooling)
-    _write_embedding(table, args.out, args.emb_format)
+    _export(params, g, args, args.pooling)
     log.info("wrote %s and %s", args.out, checkpoint)
 
     with _output(args.log_file) as fh:
@@ -197,8 +197,10 @@ def cmd_embed(args) -> int:
             f"attributes, but the graph has {g.node_count} nodes and "
             f"{g.attribute_count} attributes"
         )
-    table = embed_all(params, g, layer=args.export_layer, pooling=args.pooling)
-    _write_embedding(table, args.out, args.emb_format)
+    if params.pooling is not None and args.pooling not in (None, params.pooling):
+        raise ValueError(f"{args.checkpoint}: checkpoint was trained with {params.pooling} "
+                         f"pooling, not the --pooling {args.pooling} asked for")
+    _export(params, g, args, args.pooling or params.pooling or "max")  # v1 records none
     return 0
 
 
@@ -291,8 +293,9 @@ def build_parser():
     e.add_argument("--checkpoint", required=True, help="checkpoint produced by train")
     e.add_argument("--out", required=True, help="embedding output path")
     _add_export_options(e)
-    e.add_argument("--pooling", default="max", choices=("max", "sum"),
-                   help="embedding layer pooling")
+    e.add_argument("--pooling", choices=("max", "sum"),
+                   help="embedding layer pooling (default: max, or the mode a version 2 "
+                        "checkpoint records; naming the other mode is an error)")
 
     v = command("evaluate", "score an embedding file", cmd_evaluate)
     v.add_argument("--embeddings", required=True, help="embedding file (text or binary)")

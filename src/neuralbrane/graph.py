@@ -134,14 +134,14 @@ class AttributedGraph:
         for kind, rows in (("neighbor", self.neighbors), ("weight", self.weights),
                            ("attribute", self.attributes)):
             _check_offsets(rows, kind)
-        _reject(np.arange(n), np.diff(self.weights.indptr) != self.degree_vector(),
+        _reject(np.diff(self.weights.indptr) != self.degree_vector(),
                 "neighbor/weight length mismatch")
-        owner, nbrs, wts = self.neighbors.owners(), self.neighbors.values, self.weights.values
-        _check_ids(owner, nbrs, n, "neighbor")
-        _reject(owner, wts <= 0, "non-positive edge weight")
-        _reject(owner, nbrs == owner, "self-loop")
-        _check_ids(self.attributes.owners(), self.attributes.values, self.attribute_count,
-                   "attribute")
+        nbrs, wts = self.neighbors.values, self.weights.values
+        _check_ids(self.neighbors, n, "neighbor")
+        _reject(wts <= 0, "non-positive edge weight", self.neighbors)
+        owner = self.neighbors.owners()
+        _reject(nbrs == owner, "self-loop", self.neighbors)
+        _check_ids(self.attributes, self.attribute_count, "attribute")
         # symmetry with equal weights: the (owner, neighbor) keys now ascend
         # strictly, so each edge's reverse is found by binary search
         if len(nbrs) == 0:
@@ -168,41 +168,87 @@ def _check_offsets(rows: Rows, kind: str) -> None:
     indptr = rows.indptr
     if indptr[0] != 0:
         raise GraphFormatError(f"{kind} offsets start at {indptr[0]}, not 0")
-    _reject(np.arange(len(rows)), np.diff(indptr) < 0, f"{kind} offsets decrease")
+    _reject(np.diff(indptr) < 0, f"{kind} offsets decrease")
     if indptr[-1] != len(rows.values):
         raise GraphFormatError(
             f"{kind} offsets end at {indptr[-1]}, not at the {len(rows.values)} values")
 
 
-def _reject(owner: np.ndarray, bad: np.ndarray, problem: str) -> None:
-    """Raise for the first flagged entry, naming the node that owns it."""
+def _reject(bad: np.ndarray, problem: str, rows: Rows | None = None) -> None:
+    """Raise for the first flagged entry, naming its node: the row of
+    ``rows`` whose values hold it (the last row starting at or before it, so
+    empty rows before it are passed over), or, without ``rows``, node k for
+    entry k."""
     if bad.any():
-        raise GraphFormatError(f"node {owner[np.argmax(bad)]}: {problem}")
+        k = int(np.argmax(bad))
+        node = k if rows is None else int(np.searchsorted(rows.indptr, k, side="right")) - 1
+        raise GraphFormatError(f"node {node}: {problem}")
 
 
-def _check_ids(owner: np.ndarray, ids: np.ndarray, count: int, kind: str) -> None:
-    """Every node's ids lie in [0, count) and ascend strictly."""
-    _reject(owner, (ids < 0) | (ids >= count), f"{kind} id out of range")
-    _reject(owner[1:], (owner[1:] == owner[:-1]) & (np.diff(ids) <= 0),
-            f"{kind}s not strictly sorted")
+def _check_ids(rows: Rows, count: int, kind: str) -> None:
+    """Every row's ids lie in [0, count) and ascend strictly; an entry is
+    compared with the one before it unless it starts its row."""
+    ids = rows.values
+    _reject((ids < 0) | (ids >= count), f"{kind} id out of range", rows)
+    unsorted = np.zeros(len(ids), dtype=bool)
+    np.less_equal(ids[1:], ids[:-1], out=unsorted[1:])
+    starts = rows.indptr[:-1]
+    unsorted[starts[starts < len(ids)]] = False
+    _reject(unsorted, f"{kind}s not strictly sorted", rows)
 
 
-def _pair_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """The permutation ``np.lexsort((minor, major))`` gives, from one stable
-    argsort of an int64 key.  The key is exact for any ids, out-of-range ones
-    included, so ``validate`` still names those; where it would overflow
-    int64, lexsort runs instead."""
-    if len(major) == 0:
-        return np.argsort(major)
+def _pair_key(major: np.ndarray, minor: np.ndarray):
+    """(key, least major, least minor, minor's span) for non-empty pairs:
+    one int64 per pair, ordered as the pairs are, (major - least major) *
+    span + (minor - least minor).  The key is exact for any ids, out-of-range
+    ones included, so ``validate`` still names those; None where it would
+    overflow int64."""
     lo_major, lo_minor = int(major.min()), int(minor.min())
     span = int(minor.max()) - lo_minor + 1
-    if (int(major.max()) - lo_major + 1) * span > np.iinfo(np.int64).max:
-        return np.lexsort((minor, major))
+    if (int(major.max()) - lo_major + 1) * span > _MAX_ID:
+        return None
     key = np.subtract(major, lo_major, dtype=np.int64)  # in place, to keep peak memory low
     key *= span
     key += minor
     key -= lo_minor  # exact: int64 wraps, and the final key fits
-    return np.argsort(key, kind="stable")
+    return key, lo_major, lo_minor, span
+
+
+def _pair_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort((minor, major))`` gives, from one stable
+    argsort of the pairs' key, or from lexsort where the key would overflow."""
+    keyed = _pair_key(major, minor) if len(major) else None
+    if keyed is None:
+        return np.lexsort((minor, major))
+    return np.argsort(keyed[0], kind="stable")
+
+
+def _attribute_rows(n: int, attr_node: np.ndarray, attr_id: np.ndarray) -> Rows:
+    """Each node's attribute ids in ascending order, a pair given twice kept
+    once.  The pairs' key is sorted in place and decoded back into node and
+    id, so no sorted copy of the pairs is made; where the key would overflow,
+    lexsort orders the pairs.  The offsets count node ids in [0, n) only, so
+    ``validate`` rejects any other."""
+    keyed = _pair_key(attr_node, attr_id) if len(attr_node) else None
+    if keyed is None:
+        order = np.lexsort((attr_id, attr_node))
+        node, ids = attr_node[order], attr_id[order]
+        keep = np.ones(len(order), dtype=bool)
+        keep[1:] = (node[1:] != node[:-1]) | (ids[1:] != ids[:-1])
+        node, ids = node[keep], ids[keep]
+    else:
+        key, lo_node, lo_id, span = keyed
+        key.sort()
+        keep = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        if not keep.all():
+            key = key[keep]
+        ids = key % span
+        ids += lo_id
+        node = key
+        node //= span
+        node += lo_node
+    return Rows(np.searchsorted(node, np.arange(n + 1)), ids)
 
 
 def from_edges(n: int, m: int, src, dst, weight, attr_node, attr_id,
@@ -214,22 +260,14 @@ def from_edges(n: int, m: int, src, dst, weight, attr_node, attr_id,
     attribute ``attr_id[k]``; a pair given twice counts once.  The offsets
     count node ids below n only, so ``validate`` rejects an id of n or more.
     """
-    # Offsets first, so they do not split the heap space the sort temporaries
-    # free: with glibc, `embed` on the 25k-node benchmark graph then loads its
-    # checkpoint there (benchmark peak RSS 123 -> 107 MB).
-    adjacency, attr_offsets = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1, dtype=np.int64)
+    adjacency = np.zeros(n + 1, dtype=np.int64)
     heads, tails = np.concatenate([src, dst]), np.concatenate([dst, src])
     order = _pair_order(heads, tails)
-    pairs = _pair_order(attr_node, attr_id)
-    attr_node, attr_id = attr_node[pairs], attr_id[pairs]
-    first = np.ones(len(pairs), dtype=bool)
-    first[1:] = (np.diff(attr_node) != 0) | (np.diff(attr_id) != 0)
     np.cumsum(np.bincount(heads, minlength=n)[:n], out=adjacency[1:])
-    np.cumsum(np.bincount(attr_node[first], minlength=n)[:n], out=attr_offsets[1:])
     g = AttributedGraph(
         n, m, Rows(adjacency, tails[order]),
         Rows(adjacency, np.concatenate([weight, weight])[order]),
-        Rows(attr_offsets, attr_id[first]), labels, self_loops_dropped,
+        _attribute_rows(n, attr_node, attr_id), labels, self_loops_dropped,
     )
     g.validate()
     return g

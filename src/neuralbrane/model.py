@@ -18,17 +18,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .graph import AttributedGraph, Rows
-from .serialize import EmbeddingTable, read_nbrn, write_nbrn
+from .serialize import EmbeddingTable, SerializationError, read_nbrn, write_nbrn
 
 POOLING_MODES = ("max", "sum")
 
 # Nodes per forward call (16 triplets in training).  The gathered rows, and
 # with them the peak memory of training and embedding, grow with it.
 FORWARD_CHUNK = 48
+
+# Rows per block of ``embed_blocks`` (2064): an export holds one block of
+# output rows (2.5 MB at h = 150), not the n x dim table.  Formatting and
+# writing every 48 rows instead cost `embed` about 8 % more time; 2048 rows
+# cost nothing.  A multiple of FORWARD_CHUNK, so each forward call gets the
+# nodes it gets in a whole-table pass: BLAS may round a row's hidden vector
+# differently with other rows beside it, and the bytes written would change.
+EMBED_BLOCK = 43 * FORWARD_CHUNK
 
 
 @dataclass
@@ -47,6 +56,7 @@ class ModelParameters:
     d1: int
     d2: int
     h: int
+    pooling: str | None = None  # the one trained with (``train``, a v2 checkpoint), if known
 
     @property
     def d(self) -> int:
@@ -56,7 +66,7 @@ class ModelParameters:
         return ModelParameters(
             P=self.P.copy(), P_prime=self.P_prime.copy(),
             W=self.W.copy(), b=self.b.copy(),
-            d1=self.d1, d2=self.d2, h=self.h,
+            d1=self.d1, d2=self.d2, h=self.h, pooling=self.pooling,
         )
 
     def all_finite(self) -> bool:
@@ -166,37 +176,64 @@ def embed_all(
     g: AttributedGraph,
     layer: str = "h",
     pooling: str = "max",
+    nodes=None,
 ) -> EmbeddingTable:
-    """Embed every node; row u is its hidden vector (or pooled vector for layer='f')."""
+    """Embed ``nodes`` (every node by default): row r is node ``nodes[r]``'s
+    hidden vector, or its pooled vector for layer='f'."""
     if layer not in ("h", "f"):
         raise ValueError(f"layer must be 'h' or 'f', got {layer!r}")
-    dim = params.h if layer == "h" else params.d
-    out = np.empty((g.node_count, dim))
-    for start in range(0, g.node_count, FORWARD_CHUNK):
-        stop = min(start + FORWARD_CHUNK, g.node_count)
-        trace = forward(params, g, np.arange(start, stop), pooling)
-        out[start:stop] = trace.h_vec if layer == "h" else trace.f
-    return EmbeddingTable(vectors=out)
+    nodes = np.arange(g.node_count) if nodes is None else np.asarray(nodes, dtype=np.int64)
+    out = np.empty((len(nodes), params.h if layer == "h" else params.d))
+    for start in range(0, len(nodes), FORWARD_CHUNK):
+        trace = forward(params, g, nodes[start:start + FORWARD_CHUNK], pooling)
+        out[start:start + FORWARD_CHUNK] = trace.h_vec if layer == "h" else trace.f
+    return EmbeddingTable(vectors=out, ids=nodes)
+
+
+def embed_blocks(params: ModelParameters, g: AttributedGraph, layer: str = "h",
+                 pooling: str = "max"):
+    """Yield the rows of ``embed_all`` as consecutive tables of ``EMBED_BLOCK``
+    nodes (the last one shorter), each computed when it is asked for."""
+    for start in range(0, g.node_count, EMBED_BLOCK):
+        yield embed_all(params, g, layer, pooling,
+                        np.arange(start, min(start + EMBED_BLOCK, g.node_count)))
+
+
+# Checkpoint versions: v1 holds dims (n, m, d1, d2, h); v2 adds the pooling
+# the parameters were trained with, as its index in POOLING_MODES.
+FORMAT_VERSION = 2
+_CHECKPOINT_LAYOUTS = {1: 5, 2: 6}
 
 
 def save_checkpoint(params: ModelParameters, path) -> None:
-    """Persist parameters: NBRN magic, version, dims (n, m, d1, d2, h), then
-    P, P_prime, W, b row-major as little-endian float64."""
+    """Persist parameters: NBRN magic, version 2, dims (n, m, d1, d2, h), the
+    pooling (max where ``params`` do not know theirs), then P, P_prime, W, b
+    row-major as little-endian float64."""
     n, m = params.P_prime.shape[0], params.P.shape[0]
-    write_nbrn(path, (n, m, params.d1, params.d2, params.h),
-               (params.P, params.P_prime, params.W, params.b))
+    pooling = POOLING_MODES.index(params.pooling or "max")
+    with Path(path).open("wb") as fh:
+        write_nbrn(fh, FORMAT_VERSION, (n, m, params.d1, params.d2, params.h, pooling),
+                   (params.P, params.P_prime, params.W, params.b))
 
 
-def _checkpoint_blocks(n: int, m: int, d1: int, d2: int, h: int) -> tuple[int, ...]:
+def _checkpoint_blocks(n: int, m: int, d1: int, d2: int, h: int, *_) -> tuple[int, ...]:
     """Value counts of P, P_prime, W and b."""
     return m * d1, n * d2, h * (d1 + d2), h
 
 
 def load_checkpoint(path) -> ModelParameters:
-    dims, flat = read_nbrn(path, 5, lambda *dims: sum(_checkpoint_blocks(*dims)))
-    n, m, d1, d2, h = dims
+    """The parameters of a v1 or v2 checkpoint; ``pooling`` is the mode a v2
+    file records, None for v1."""
+    version, dims, flat = read_nbrn(path, _CHECKPOINT_LAYOUTS,
+                                    lambda *dims: sum(_checkpoint_blocks(*dims)))
+    n, m, d1, d2, h = dims[:5]
+    pooling = None
+    if version >= 2:
+        if dims[5] >= len(POOLING_MODES):
+            raise SerializationError(f"{path}: unknown pooling mode {dims[5]}")
+        pooling = POOLING_MODES[dims[5]]
     P, P_prime, W, b = np.split(flat, np.cumsum(_checkpoint_blocks(*dims))[:-1])
     return ModelParameters(
         P=P.reshape(m, d1), P_prime=P_prime.reshape(n, d2), W=W.reshape(h, d1 + d2), b=b,
-        d1=d1, d2=d2, h=h,
+        d1=d1, d2=d2, h=h, pooling=pooling,
     )

@@ -5,10 +5,15 @@ Text format: a header line ``<n> <dim>`` followed by one line per node,
 rejects rows past the header's count and repeated node ids; both readers
 reject non-finite values.
 
-Binary format (little-endian): magic ``NBRN``, version u32, n u32, dim u32,
-then n*dim row-major float64 values.  Rows are implicitly nodes 0..n-1.
-Checkpoints use the same container with other dims (``model.save_checkpoint``);
-a file must end where the payload its header declares ends.
+Binary format (little-endian): magic ``NBRN``, version u32 (1), n u32,
+dim u32, then n*dim row-major float64 values.  Rows are implicitly nodes
+0..n-1.  Checkpoints use the same container with other dims and versions
+(``model.save_checkpoint``); a file must end where the payload its header
+declares ends.
+
+Both writers take the table as row blocks: consecutive ``EmbeddingTable``s
+whose rows, end to end, are the whole table, so a caller that computes the
+rows a block at a time never holds all of them.  A whole table is one block.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"NBRN"
-FORMAT_VERSION = 1
+EMBEDDING_VERSION = 1
 
 
 class SerializationError(ValueError):
@@ -56,16 +61,39 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def has_contiguous_ids(self) -> bool:
-        return bool(np.array_equal(self.ids, np.arange(self.node_count)))
+
+def _write_blocks(blocks, shape, write) -> None:
+    """Call ``write(block, start)`` on each block of ``blocks`` (a lone table
+    is one block), with ``start`` the rows written before it, and check that
+    they make an (n, dim) = ``shape`` table.  No block is held while the
+    next one is made."""
+    if isinstance(blocks, EmbeddingTable):
+        blocks = (blocks,)
+    n, dim = shape
+    start = 0
+    for block in blocks:
+        if block.dim != dim:
+            raise SerializationError(f"a block of {block.dim} columns in a table of {dim}")
+        write(block, start)
+        start += block.node_count
+        del block
+    if start != n:
+        raise SerializationError(f"the blocks hold {start} rows, the table {n}")
 
 
-def write_embedding_text(table: EmbeddingTable, path) -> None:
-    row_format = "%d " + " ".join(["%.9g"] * table.dim) + "\n"
+def write_embedding_text(blocks, path, shape=None) -> None:
+    """Write ``blocks``, a table or consecutive tables that make up an
+    (n, dim) = ``shape`` table, in the text format."""
+    n, dim = shape = shape or blocks.vectors.shape
+    row_format = "%d " + " ".join(["%.9g"] * dim) + "\n"
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"{table.node_count} {table.dim}\n")
-        for node_id, row in zip(table.ids.tolist(), table.vectors):
-            fh.write(row_format % (node_id, *row.tolist()))
+        fh.write(f"{n} {dim}\n")
+
+        def write(block, start):
+            for node_id, row in zip(block.ids.tolist(), block.vectors):
+                fh.write(row_format % (node_id, *row.tolist()))
+
+        _write_blocks(blocks, shape, write)
 
 
 def read_embedding_text(path) -> EmbeddingTable:
@@ -157,53 +185,70 @@ def _check_finite(path, vectors: np.ndarray) -> None:
         raise SerializationError(f"{path}: row {bad[0]} holds a non-finite value")
 
 
-def write_nbrn(path, dims, blocks) -> None:
-    """Write the NBRN container: magic, u32 version, the u32 ``dims``, then
-    each array of ``blocks`` row-major as little-endian float64."""
-    with Path(path).open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack(f"<{len(dims) + 1}I", FORMAT_VERSION, *dims))
-        for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+def write_nbrn(fh, version: int, dims, blocks=()) -> None:
+    """Write the NBRN container to the binary file ``fh``: magic, u32
+    ``version``, the u32 ``dims``, then each array of ``blocks`` row-major as
+    little-endian float64 (from the array's own buffer, where it has that
+    layout, with no copy of its bytes)."""
+    fh.write(MAGIC)
+    fh.write(struct.pack(f"<{len(dims) + 1}I", version, *dims))
+    for block in blocks:
+        fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
-def read_nbrn(path, fields: int, payload_size) -> tuple[tuple[int, ...], np.ndarray]:
-    """Read an NBRN container with ``fields`` u32 dims, whose float64 payload
-    holds ``payload_size(*dims)`` values; returns (dims, flat payload).
+def read_nbrn(path, layouts: dict, payload_size) -> tuple[int, tuple[int, ...], np.ndarray]:
+    """Read an NBRN container whose version is a key of ``layouts``, which
+    gives the number of u32 dims that version has, and whose float64 payload
+    holds ``payload_size(*dims)`` values; returns (version, dims, flat payload).
 
     The file must be exactly that long, so a short file or trailing bytes
-    (an NBRN file of the other kind, say) raise SerializationError.
+    raise SerializationError.  The length is checked before the version, by
+    the newest layout for a version not in ``layouts``: an NBRN file of the
+    other kind (a checkpoint read as an embedding, say) reads as the wrong
+    length, and only a file of the right length reads as the wrong version.
     """
     path = Path(path)
     with path.open("rb") as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise SerializationError(f"{path}: bad magic {magic!r}")
-        header = fh.read(4 * (fields + 1))
-        if len(header) != 4 * (fields + 1):
+        head = fh.read(4)
+        version = struct.unpack("<I", head)[0] if len(head) == 4 else None
+        fields = layouts.get(version, layouts[max(layouts)])
+        header = fh.read(4 * fields)
+        if version is None or len(header) != 4 * fields:
             raise SerializationError(f"{path}: truncated header")
-        version, *dims = struct.unpack(f"<{fields + 1}I", header)
-        if version != FORMAT_VERSION:
-            raise SerializationError(f"{path}: unsupported version {version}")
+        dims = struct.unpack(f"<{fields}I", header)
         count = payload_size(*dims)
         extra = os.fstat(fh.fileno()).st_size - fh.tell() - 8 * count
         if extra < 0:
             raise SerializationError(f"{path}: truncated payload")
         if extra > 0:
             raise SerializationError(f"{path}: {extra} trailing bytes after the payload")
+        if version not in layouts:
+            raise SerializationError(f"{path}: unsupported version {version}")
         payload = np.empty(count, dtype="<f8")
         fh.readinto(payload)
-    return tuple(dims), payload
+    return version, dims, payload
 
 
-def write_embedding_binary(table: EmbeddingTable, path) -> None:
-    if not table.has_contiguous_ids():
-        raise SerializationError("binary embedding format requires ids 0..n-1")
-    write_nbrn(path, (table.node_count, table.dim), [table.vectors])
+def write_embedding_binary(blocks, path, shape=None) -> None:
+    """Write ``blocks``, a table or consecutive tables that make up an
+    (n, dim) = ``shape`` table with ids 0..n-1 in order, in the binary format."""
+    shape = shape or blocks.vectors.shape
+
+    def write(block, start):
+        if not np.array_equal(block.ids, np.arange(start, start + block.node_count)):
+            raise SerializationError("binary embedding format requires ids 0..n-1")
+        fh.write(np.ascontiguousarray(block.vectors, dtype="<f8"))
+
+    with Path(path).open("wb") as fh:
+        write_nbrn(fh, EMBEDDING_VERSION, shape)
+        _write_blocks(blocks, shape, write)
 
 
 def read_embedding_binary(path) -> EmbeddingTable:
-    (n, dim), payload = read_nbrn(path, 2, lambda n, dim: n * dim)
+    _, (n, dim), payload = read_nbrn(path, {EMBEDDING_VERSION: 2}, lambda n, dim: n * dim)
     vectors = payload.reshape(n, dim)
     _check_finite(path, vectors)
     return EmbeddingTable(vectors=vectors)

@@ -279,6 +279,7 @@ def train(g: AttributedGraph, cfg: TrainConfig) -> tuple[ModelParameters, TrainL
     init_seed, sampler_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     params = init_parameters(g.node_count, g.attribute_count, cfg.d1, cfg.d2,
                              cfg.hidden, seed=init_seed)
+    params.pooling = cfg.pooling
     sampler = TripletSampler(g, seed=sampler_seed)
 
     triplets_per_epoch = g.edge_count

@@ -331,6 +331,38 @@ def rowwise_read_embedding_text(path, error):
     return ids, vectors
 
 
+def whole_table_write_embedding_text(table, path):
+    """The text writer that formatted the whole table at once: a ``<n> <dim>``
+    header, then each row's id and ``%.9g`` values."""
+    row_format = "%d " + " ".join(["%.9g"] * table.dim) + "\n"
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f"{table.node_count} {table.dim}\n")
+        for node_id, row in zip(table.ids.tolist(), table.vectors):
+            fh.write(row_format % (node_id, *row.tolist()))
+
+
+def whole_table_write_embedding_binary(table, path):
+    """The binary writer that wrote the whole table at once: magic ``NBRN``,
+    u32 version 1, n and dim, then the row-major little-endian float64s."""
+    n, dim = table.vectors.shape
+    Path(path).write_bytes(b"NBRN" + np.array([1, n, dim], dtype="<u4").tobytes()
+                           + table.vectors.astype("<f8").tobytes())
+
+
+def pair_order_attribute_rows(n, attr_node, attr_id):
+    """(offsets, ids) of the attribute rows as the build that permuted the
+    pairs made them: lexsort the (node, id) pairs, gather both arrays in that
+    order, drop each pair that repeats the one before it, and count the rows
+    of nodes below n."""
+    order = np.lexsort((attr_id, attr_node))
+    node, ids = attr_node[order], attr_id[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(node) != 0) | (np.diff(ids) != 0)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(node[first], minlength=n)[:n], out=offsets[1:])
+    return offsets, ids[first]
+
+
 class NaiveFormatError(ValueError):
     """An input file ``naive_parse`` rejects; the message is the one the
     loader gives for it."""

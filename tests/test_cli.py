@@ -1,12 +1,17 @@
 import re
+import struct
 
+import numpy as np
 import pytest
 
 from neuralbrane.cli import main
 from neuralbrane.graph import write_graph
-from neuralbrane.model import init_parameters, save_checkpoint
+from neuralbrane.graph import load_graph
+from neuralbrane.model import embed_all, init_parameters, save_checkpoint
 from neuralbrane.serialize import read_embedding
 from neuralbrane.synthetic import planted_partition
+
+from .oracles import whole_table_write_embedding_text
 
 
 def train_args(paths, out, extra=()):
@@ -129,6 +134,51 @@ class TestEmbedCommand:
         assert f"{n} nodes and {m} attributes" in err
         assert "5 nodes and 7 attributes" in err
         assert not (tmp_path / "emb.txt").exists()
+
+
+def write_v1_checkpoint(params, path):
+    """A checkpoint in the version 1 layout, which records no pooling."""
+    n, m = params.P_prime.shape[0], params.P.shape[0]
+    path.write_bytes(b"NBRN" + struct.pack("<6I", 1, n, m, params.d1, params.d2, params.h)
+                     + b"".join(a.astype("<f8").tobytes()
+                                for a in (params.P, params.P_prime, params.W, params.b)))
+
+
+class TestEmbedPooling:
+    def embed(self, toy_files, checkpoint, out, extra=()):
+        edge_path, attr_path, _ = toy_files
+        return main(["embed", "--edges", str(edge_path), "--attr-file", str(attr_path),
+                     "--checkpoint", str(checkpoint), "--out", str(out), *extra])
+
+    def test_defaults_to_the_pooling_the_checkpoint_records(self, toy_files, tmp_path, capsys):
+        out = tmp_path / "emb.txt"
+        assert main(train_args(toy_files, out, ["--pooling", "sum"])) == 0
+        for extra in ((), ("--pooling", "sum")):
+            assert self.embed(toy_files, tmp_path / "emb.txt.ckpt", tmp_path / "e.txt",
+                              extra) == 0
+            assert (tmp_path / "e.txt").read_bytes() == out.read_bytes()
+
+    def test_the_other_pooling_is_rejected(self, toy_files, tmp_path, capsys):
+        assert main(train_args(toy_files, tmp_path / "emb.txt", ["--pooling", "sum"])) == 0
+        capsys.readouterr()
+        checkpoint = tmp_path / "emb.txt.ckpt"
+        assert self.embed(toy_files, checkpoint, tmp_path / "e.txt", ["--pooling", "max"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {checkpoint}: checkpoint was trained with sum pooling, "
+                       "not the --pooling max asked for\n")
+        assert not (tmp_path / "e.txt").exists()
+
+    def test_a_version_1_checkpoint_takes_either_pooling_and_defaults_to_max(
+            self, toy_files, tmp_path, capsys):
+        params = init_parameters(5, 7, 2, 3, 4, seed=2)
+        write_v1_checkpoint(params, tmp_path / "v1.ckpt")
+        g = load_graph(toy_files[0], toy_files[1])
+        for extra, pooling in (((), "max"), (("--pooling", "sum"), "sum"),
+                               (("--pooling", "max"), "max")):
+            assert self.embed(toy_files, tmp_path / "v1.ckpt", tmp_path / "e.txt", extra) == 0
+            whole_table_write_embedding_text(embed_all(params, g, pooling=pooling),
+                                             tmp_path / "want.txt")
+            assert (tmp_path / "e.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
 
 
 class TestEvaluateCommand:

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from neuralbrane import graph
 from neuralbrane.graph import (
-    AttributedGraph, GraphFormatError, Rows, _pair_order, from_edges, load_graph, write_graph,
+    AttributedGraph, GraphFormatError, Rows, _attribute_rows, _pair_key, _pair_order, from_edges,
+    load_graph, write_graph,
 )
 
 from .conftest import TOY_EDGES, write_toy_files
-from .oracles import NaiveFormatError, naive_parse
+from .oracles import NaiveFormatError, naive_parse, pair_order_attribute_rows
 
 
 def graphs_equal(a: AttributedGraph, b: AttributedGraph) -> bool:
@@ -372,6 +373,20 @@ class TestValidate:
     def test_path_graph_is_valid(self):
         _path_graph().validate()
 
+    @pytest.mark.parametrize("rows, message", [
+        ({1: [], 2: [], 3: [0, 3]}, "node 3: attribute id out of range"),
+        ({1: [], 2: [], 3: [2, 0]}, "node 3: attributes not strictly sorted"),
+        ({0: [], 1: [5]}, "node 1: attribute id out of range"),
+        ({0: [], 1: [2, 2]}, "node 1: attributes not strictly sorted"),
+    ])
+    def test_empty_rows_before_the_bad_entry_are_passed_over(self, rows, message):
+        # the bad entry's offset is also the start of the empty rows before it
+        with pytest.raises(GraphFormatError, match=re.escape(message)):
+            _path_graph({"attributes": rows}).validate()
+
+    def test_descent_across_rows_is_not_unsorted(self):
+        _path_graph({"attributes": {0: [2], 1: [], 2: [0, 1], 3: [0]}}).validate()
+
     @pytest.mark.parametrize("case", sorted(VALIDATE_REJECTIONS))
     def test_rejection_names_offender(self, case):
         edits, message = VALIDATE_REJECTIONS[case]
@@ -404,3 +419,54 @@ class TestPairOrder:
     def test_empty(self):
         empty = np.empty(0, dtype=np.int64)
         assert _pair_order(empty, empty).tolist() == []
+
+
+class TestAttributeRows:
+    """``from_edges`` sorts the attribute pairs' int64 key in place and decodes
+    the rows from it; ``pair_order_attribute_rows`` is the build that sorted
+    the pairs by a permutation and gathered both arrays."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_permuting_build(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+        count = int(rng.integers(0, 4 * n))
+        node, ids = rng.integers(0, n, count), rng.integers(0, m, count)
+        repeats = rng.integers(0, count + 1, count // 3)
+        node = np.concatenate([node, node[repeats[repeats < count]]])
+        ids = np.concatenate([ids, ids[repeats[repeats < count]]])
+        order = rng.permutation(len(node))
+        node, ids = node[order], ids[order]
+        g = from_edges(n, m, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                       np.empty(0), node, ids)
+        offsets, values = pair_order_attribute_rows(n, node, ids)
+        assert np.array_equal(g.attributes.indptr, offsets)
+        assert np.array_equal(g.attributes.values, values)
+
+    @pytest.mark.parametrize("low, high", [(-7, 10**6), (-2**62, 2**62)])
+    def test_out_of_range_pairs_match_the_permuting_build(self, low, high):
+        # node ids past n and ids outside [0, m), as validate must see them
+        rng = np.random.default_rng(17)
+        node, ids = rng.integers(0, 12, 300), rng.integers(low, high, 300)
+        ids[::4] = ids[1::4]
+        rows = _attribute_rows(9, node, ids)
+        offsets, values = pair_order_attribute_rows(9, node, ids)
+        assert np.array_equal(rows.indptr, offsets)
+        assert np.array_equal(rows.values, values)
+
+    def test_a_key_past_int64_builds_through_lexsort(self):
+        m = 2**62
+        node = np.array([2, 0, 2, 0, 2], dtype=np.int64)
+        ids = np.array([m - 1, m - 1, 0, 5, m - 1], dtype=np.int64)
+        assert _pair_key(node, ids) is None
+        g = from_edges(3, m, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                       np.empty(0), node, ids)
+        assert [g.attributes[u].tolist() for u in range(3)] == [[5, m - 1], [], [0, m - 1]]
+        offsets, values = pair_order_attribute_rows(3, node, ids)
+        assert np.array_equal(g.attributes.indptr, offsets)
+        assert np.array_equal(g.attributes.values, values)
+
+    def test_negative_node_is_rejected(self):
+        with pytest.raises(GraphFormatError, match="attribute offsets start at 1, not 0"):
+            from_edges(2, 3, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                       np.empty(0), np.array([-1, 0]), np.array([1, 1]))

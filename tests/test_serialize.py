@@ -80,6 +80,49 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("pooling", [None, "max", "sum"])
+def test_checkpoint_records_its_pooling(tmp_path, pooling):
+    # parameters that do not know their pooling are recorded as max-pooled
+    path = tmp_path / "model.ckpt"
+    params = init_parameters(3, 2, 1, 1, 2, seed=0)
+    params.pooling = pooling
+    save_checkpoint(params, path)
+    assert path.read_bytes()[4:8] == (2).to_bytes(4, "little")
+    loaded = load_checkpoint(path)
+    assert loaded.pooling == (pooling or "max")
+    save_checkpoint(loaded, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def _edit_header(path, index, value):
+    """Overwrite u32 number ``index`` of the header that follows the magic."""
+    data = bytearray(path.read_bytes())
+    data[4 + 4 * index:8 + 4 * index] = value.to_bytes(4, "little")
+    path.write_bytes(bytes(data))
+
+
+def test_checkpoint_version_1_records_no_pooling(tmp_path):
+    params = init_parameters(3, 2, 1, 1, 2, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:4] + (1).to_bytes(4, "little") + data[8:28] + data[32:])
+    loaded = load_checkpoint(path)
+    assert loaded.pooling is None
+    assert np.array_equal(loaded.P_prime, params.P_prime) and np.array_equal(loaded.b, params.b)
+
+
+def test_checkpoint_unknown_pooling_or_version_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_parameters(3, 2, 1, 1, 2, seed=0), path)
+    _edit_header(path, 6, 2)
+    with pytest.raises(SerializationError, match="unknown pooling mode 2"):
+        load_checkpoint(path)
+    _edit_header(path, 0, 3)
+    with pytest.raises(SerializationError, match="unsupported version 3"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_magic(tmp_path):
     params = init_parameters(2, 2, 1, 1, 1, seed=0)
     path = tmp_path / "model.ckpt"
