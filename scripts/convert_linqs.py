@@ -58,7 +58,7 @@ def main(argv):
             if a not in node_ids or b not in node_ids or a == b:
                 skipped += 1
                 continue
-            out.write(f"{node_ids[a]} {node_ids[b]} 1.0\n")
+            out.write(f"{node_ids[a]} {node_ids[b]}\n")  # weight 1.0, the default
 
     print(f"wrote {dst}/edges.txt attrs.txt labels.txt "
           f"({len(node_ids)} nodes, {len(classes)} classes, {skipped} lines skipped)")

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import run_classification_eval, run_clustering_eval, project_2d
-from .graph import GraphFormatError, load_graph, read_labels
+from .graph import GraphFormatError, load_graph, open_text, read_labels
 from .model import embed_all, embed_blocks, load_checkpoint, save_checkpoint
 from .sampler import SamplingError
 from .serialize import (
@@ -79,8 +79,10 @@ def _expand_config(commands: dict, argv: list[str]) -> list[str]:
         if action.dest not in ("help", "config"):
             for flag in action.option_strings:
                 flags[flag.lstrip("-").replace("-", "_")] = flags[action.dest] = flag
+    with open_text(Path(known.config), ValueError) as fh:
+        text = fh.read()
     lines = []
-    for lineno, line in enumerate(Path(known.config).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -25,6 +25,7 @@ one flat ``values`` array with every node's entries end to end, cut by n+1
 from __future__ import annotations
 
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -273,9 +274,21 @@ def from_edges(n: int, m: int, src, dst, weight, attr_node, attr_id,
     return g
 
 
+@contextmanager
+def open_text(path: Path, error: type[ValueError] = GraphFormatError):
+    """``path`` opened as UTF-8 text; a byte that does not decode, wherever
+    it is read, raises ``error`` naming the file."""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text "
+                    f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+
+
 def _tokens(path: Path):
     """Yield (lineno, tokens) for non-comment, non-blank lines."""
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             toks = line.split()
             if toks and toks[0][0] != "#":
@@ -290,7 +303,7 @@ _BLOCK_BYTES = 1 << 16
 def _token_blocks(path: Path):
     """Yield the token lists of the non-comment, non-blank lines, in blocks
     of about ``_BLOCK_BYTES`` of text."""
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         while lines := fh.readlines(_BLOCK_BYTES):
             yield [toks for toks in map(str.split, lines) if toks and toks[0][0] != "#"]
 
@@ -335,15 +348,54 @@ def read_labels(label_path, node_count: int | None = None) -> dict[int, int]:
     return label_map
 
 
-# Each reader sends all of a file's tokens through one np.fromiter, whose
-# buffer grows in place.  Arrays made per block and concatenated after split
-# the heap: `embed`'s checkpoint then fitted in it or not as unrelated small
-# allocations fell, and the benchmark's `large-embed` peak RSS read 104 or
-# 121 MB; read this way it stays at 105.8-106.8 MB over seeds, paths and
-# bytecode caches.
+# A plain file holds nothing but these bytes.  Each of its tokens is then a
+# run of ASCII digits, which int() and numpy's C conversion read alike, and
+# str.split() cuts the fields numpy finds, with lines ending at "\n" only
+# (text mode would also end one at a lone "\r").
+_PLAIN = b"0123456789 \t\n"
+
+
+def _read_plain(path: Path):
+    """(values, fields) of a plain file: every token as int64 in file order,
+    from one ``np.fromstring``, and the field count of each non-blank line;
+    None for any other file, or one holding an id of 2**63 - 1 or more."""
+    data = path.read_bytes()
+    if data.translate(None, _PLAIN):
+        return None
+    text = np.frombuffer(data, dtype=np.uint8)
+    digit = np.zeros(len(text) + 1, dtype=bool)  # digit[k + 1]: byte k is a digit
+    np.greater(text, ord(" "), out=digit[1:])
+    first = digit[1:] > digit[:-1]  # where a token starts
+    del digit
+    lines = np.flatnonzero(text[:-1] == ord("\n")) + 1
+    lines = np.concatenate(([0], lines))[:len(text)]  # where each line starts, if any
+    # This sum casts the whole mask to int64, 8 bytes per byte of the file,
+    # freed at once.  Through glibc's reuse of freed heap that sets `embed`'s
+    # peak on the benchmark's `large-embed` files: 78.5-79.8 MB over seeds,
+    # path lengths and bytecode caches, against 88.6 MB counting from int64
+    # token offsets, and 76.9 MB (83.2 with a long path and no bytecode
+    # cache) from uint8 partial sums.
+    fields = np.add.reduceat(first, lines, dtype=np.int64)
+    fields = fields[fields > 0]
+    # fromstring reads whitespace alone as one 0 unless given the count
+    values = np.fromstring(data, dtype=np.int64, count=int(fields.sum()), sep=" ")
+    if values.max(initial=0) == _MAX_ID:  # strtoll clamps an overflow to 2**63 - 1
+        return None
+    return values, fields
+
+
+# A file that is not plain goes the token path, where each reader sends all
+# of its tokens through one np.fromiter, whose buffer grows in place.  Arrays
+# made per block and concatenated after split the heap: while the benchmark's
+# `large-embed` files went this way, that made its peak RSS read 104 or 121 MB
+# as unrelated small allocations fell.
 def _read_edges(path: Path):
     """(src, dst, weight) of every edge line in file order, or None if a line
     has the wrong number of fields or a token that does not convert."""
+    plain = _read_plain(path)
+    if plain is not None and (plain[1] == 2).all():
+        flat = plain[0]
+        return flat[0::2], flat[1::2], np.ones(len(flat) // 2)
     lengths, weight_tokens = [], []
 
     def counted(rows):
@@ -372,18 +424,21 @@ def _read_attributes(path: Path):
     """(nodes, attr_node, attr_id) of the attribute lines in file order: each
     line's node id, and one (node, attribute) pair per attribute token; None
     if a token does not convert."""
-    lengths = []
+    read = _read_plain(path)
+    if read is None:
+        lengths = []
 
-    def counted(rows):
-        lengths.extend(map(len, rows))
-        return rows
+        def counted(rows):
+            lengths.extend(map(len, rows))
+            return rows
 
-    tokens = chain.from_iterable(chain.from_iterable(map(counted, _token_blocks(path))))
-    try:
-        flat = np.fromiter(map(int, tokens), dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    fields = np.array(lengths, dtype=np.int64)
+        tokens = chain.from_iterable(chain.from_iterable(map(counted, _token_blocks(path))))
+        try:
+            flat = np.fromiter(map(int, tokens), dtype=np.int64)
+        except (ValueError, OverflowError):
+            return None
+        read = flat, np.array(lengths, dtype=np.int64)
+    flat, fields = read
     starts = np.cumsum(fields) - fields
     is_attr = np.ones(len(flat), dtype=bool)
     is_attr[starts] = False

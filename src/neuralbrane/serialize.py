@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .graph import open_text
+
 MAGIC = b"NBRN"
 EMBEDDING_VERSION = 1
 
@@ -98,7 +100,7 @@ def write_embedding_text(blocks, path, shape=None) -> None:
 
 def read_embedding_text(path) -> EmbeddingTable:
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path, SerializationError) as fh:
         n, dim = _read_header(path, fh)
         rows = _read_rows(fh, n, dim) if n >= 0 and dim >= 0 else None
         if rows is None:
@@ -162,7 +164,7 @@ def _check_rows(path: Path, n: int, dim: int) -> None:
     flagged, found by reading its rows again one at a time."""
     ids = np.empty(n, dtype=np.int64)
     vectors = np.empty((n, dim), dtype=np.float64)
-    with path.open("r", encoding="utf-8") as fh:
+    with open_text(path, SerializationError) as fh:
         fh.readline()
         for row in range(n):
             toks = fh.readline().split()

@@ -103,6 +103,15 @@ class TestConfigFile:
         assert code == 1
         assert "no-such-option" in capsys.readouterr().err
 
+    def test_file_not_utf8_rejected(self, toy_files, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"epochs=1\n# \xff\n")
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {config}: not UTF-8 text (byte 0xff: invalid start byte)\n" in err
+        assert "Traceback" not in err
+
 
 class TestEmbedCommand:
     def test_checkpoint_reexport_matches(self, toy_files, tmp_path, capsys):
@@ -433,6 +442,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {path}:{lineno}: {problem}" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize("command, file", [
+        ("train", 0), ("train", 1), ("train", 2), ("evaluate", 0), ("evaluate", 1),
+    ], ids=["edges", "attributes", "labels", "embedding", "evaluate-labels"])
+    def test_file_not_utf8_is_user_error(self, toy_files, tmp_path, capsys, command, file):
+        if command == "train":
+            paths = toy_files
+            argv = train_args(toy_files, tmp_path / "x", ["--epochs", "1"])
+        else:
+            emb = tmp_path / "emb.txt"
+            emb.write_text("5 2\n" + "".join(f"{u} {u}.5 1\n" for u in range(5)))
+            paths = (emb, toy_files[2])
+            argv = ["evaluate", "--embeddings", str(emb), "--labels", str(toy_files[2]),
+                    "--task", "classify", "--ratios", "0.5", "--repeats", "1"]
+        path = paths[file]
+        path.write_bytes(path.read_bytes() + b"3 \xff\n")  # 0xff starts no UTF-8 character
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: not UTF-8 text (byte 0xff: invalid start byte)\n" in err
+        assert "Traceback" not in err and "internal error" not in err
 
     def test_log_level_env_var(self, toy_files, tmp_path, capsys, monkeypatch):
         import logging

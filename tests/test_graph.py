@@ -1,9 +1,12 @@
+import importlib.util
 import re
+from contextlib import contextmanager
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from neuralbrane import graph
@@ -306,6 +309,148 @@ class TestParserFuzz:
                 got = load_graph(*paths, **counts)
             assert graphs_equal(got, expected)
             assert got.self_loops_dropped == expected.self_loops_dropped
+
+
+# Plain files (digits, spaces, tabs and "\n" only), whose ids all convert in
+# one np.fromstring.  2**63 - 1 and anything longer make strtoll clamp, so
+# those files go the token path, which reads their exact value or message.
+_PLAIN_IDS = st.one_of(st.integers(0, 3).map(str), st.sampled_from(
+    ["07", "00", "0003", str(2**63 - 1), str(2**63), "99999999999999999999"]))
+
+
+def _plain_file(min_fields, max_fields):
+    """A plain file's text: lines of ``min_fields``..``max_fields`` ids with
+    space or tab separators, blank and whitespace-only lines among them, and
+    at times no "\n" after the last line; empty and whitespace-only files too."""
+    line = st.tuples(st.lists(_PLAIN_IDS, min_size=min_fields, max_size=max_fields),
+                     st.sampled_from([" ", "\t", " \t "]), st.sampled_from(["", " ", "\t"]),
+                     st.sampled_from(["", " ", "\t"])).map(
+        lambda t: t[2] + t[1].join(t[0]) + t[3])
+    lines = st.lists(st.one_of(line, st.sampled_from(["", " ", "\t", " \t  "])), max_size=8)
+    return st.tuples(lines, st.booleans()).map(
+        lambda t: "\n".join(t[0]) + ("\n" if t[1] and t[0] else ""))
+
+
+def _clamps(text: str) -> bool:
+    """Whether the file holds an id strtoll cannot give exactly."""
+    return any(int(token) >= 2**63 - 1 for token in text.split())
+
+
+class TestPlainFiles:
+    """Files of nothing but ASCII digits, spaces, tabs and "\n" convert in
+    one np.fromstring: the same arrays or the same message as ``naive_parse``,
+    and every other file goes the token path with its line numbers."""
+
+    @staticmethod
+    @contextmanager
+    def paths_taken():
+        """Note, by file name, the path that gave each file's arrays while
+        ``load_graph`` runs: "plain", or "tokens" where the plain reader
+        passed the file on."""
+        taken = {}
+        read_plain, token_blocks = graph._read_plain, graph._token_blocks
+
+        def plain(path):
+            taken[path.name] = "plain"
+            return read_plain(path)
+
+        def tokens(path):
+            taken[path.name] = "tokens"
+            return token_blocks(path)
+
+        with patch.object(graph, "_read_plain", plain), \
+                patch.object(graph, "_token_blocks", tokens):
+            yield taken
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_line_by_line_loader(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("plain")
+        edges, attrs = directory / "e.txt", directory / "a.txt"
+        texts = {"e.txt": data.draw(st.one_of(_plain_file(2, 2), _plain_file(1, 3))),
+                 "a.txt": data.draw(_plain_file(1, 5))}
+        edges.write_text(texts["e.txt"])
+        attrs.write_text(texts["a.txt"])
+        counts = dict(node_count=data.draw(st.sampled_from([None, 4, 11])),
+                      attribute_count=data.draw(st.sampled_from([None, 4, 11])))
+        try:
+            parsed = naive_parse(edges, attrs, **counts)
+        except NaiveFormatError as exc:
+            with self.paths_taken() as taken, pytest.raises(GraphFormatError) as raised:
+                load_graph(edges, attrs, **counts)
+            assert str(raised.value) == str(exc)
+        else:
+            assume(parsed[0] <= 11)  # 2**63 nodes cannot be allocated
+            with self.paths_taken() as taken:
+                got = load_graph(edges, attrs, **counts)
+            assert graphs_equal(got, from_edges(*parsed))
+            assert got.self_loops_dropped == parsed[-1]
+        # an edge file is plain only when every line has two fields
+        pairs = all(len(line.split()) in (0, 2) for line in texts["e.txt"].split("\n"))
+        expected = {"e.txt": pairs and not _clamps(texts["e.txt"]),
+                    "a.txt": not _clamps(texts["a.txt"])}
+        assert "e.txt" in taken
+        assert all((path == "plain") == expected[name] for name, path in taken.items())
+
+    def test_benchmark_shaped_files_take_the_plain_path(self, tmp_path):
+        # the lines the benchmark's generator writes: "u v", and "u a a ..."
+        rng = np.random.default_rng(5)
+        pairs = rng.integers(0, 60, size=(300, 2))
+        (tmp_path / "e.txt").write_text("".join(f"{u} {v}\n" for u, v in pairs.tolist()))
+        (tmp_path / "a.txt").write_text("".join(
+            f"{u} {' '.join(map(str, np.sort(rng.choice(50, 8, replace=False))))}\n"
+            for u in range(60)))
+        with self.paths_taken() as taken:
+            got = load_graph(tmp_path / "e.txt", tmp_path / "a.txt",
+                             node_count=60, attribute_count=50)
+        assert taken == {"e.txt": "plain", "a.txt": "plain"}
+        assert graphs_equal(got, from_edges(*naive_parse(
+            tmp_path / "e.txt", tmp_path / "a.txt", node_count=60, attribute_count=50)))
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("0 1\r\n\r\n1 2\r\n2 7\r\n", 4),  # CRLF
+        ("0 1\r\r1 2\r2 7\n", 4),  # a lone "\r" ends a line in text mode
+        ("0 1 1.0\n\n1 2 1.0\n2 7 1.0\n", 4),  # weighted
+        ("0 1\n\n1 2 1\n2 7\n", 4),  # plain bytes, but a line of three fields
+    ], ids=["crlf", "lone-cr", "weighted", "three-fields"])
+    def test_other_files_take_the_token_path(self, tmp_path, text, lineno):
+        (tmp_path / "e.txt").write_bytes(text.encode())
+        (tmp_path / "a.txt").write_text("0\n")
+        with self.paths_taken() as taken, pytest.raises(GraphFormatError) as raised:
+            load_graph(tmp_path / "e.txt", tmp_path / "a.txt", node_count=5)
+        assert taken == {"e.txt": "tokens"}
+        assert str(raised.value) == (
+            f"{tmp_path / 'e.txt'}:{lineno}: node id exceeds declared node count 5")
+        (tmp_path / "e.txt").write_bytes(text.replace("7", "3").encode())
+        with self.paths_taken() as taken:
+            got = load_graph(tmp_path / "e.txt", tmp_path / "a.txt", node_count=5)
+        assert taken == {"e.txt": "tokens", "a.txt": "plain"}
+        assert got.edge_count == 3
+
+    def test_converted_linqs_edges_load_as_weighted_ones(self, tmp_path, capsys):
+        # scripts/convert_linqs.py writes "a b", whose weight defaults to the
+        # 1.0 it once wrote; both forms give one graph
+        spec = importlib.util.spec_from_file_location(
+            "convert_linqs", Path(__file__).resolve().parents[1] / "scripts" / "convert_linqs.py")
+        convert = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(convert)
+        source = tmp_path / "linqs"
+        source.mkdir()
+        (source / "tiny.content").write_text(
+            "p7\t0\t1\t1\tAI\nq2\t1\t0\t0\tML\n1033\t0\t0\t1\tAI\nzz\t0\t0\t0\tDB\n")
+        (source / "tiny.cites").write_text(
+            "p7\tq2\n1033\tp7\nq2\t1033\nzz\tq2\nmissing\tp7\nq2\tq2\n")
+        out = tmp_path / "out"
+        assert convert.main(["convert_linqs.py", str(source), str(out)]) == 0
+        assert "2 lines skipped" in capsys.readouterr().out
+        weighted = tmp_path / "weighted.txt"
+        weighted.write_text("".join(
+            line + " 1.0\n" for line in (out / "edges.txt").read_text().splitlines()))
+        with self.paths_taken() as taken:
+            plain = load_graph(out / "edges.txt", out / "attrs.txt", out / "labels.txt")
+        assert taken == {"edges.txt": "plain", "attrs.txt": "plain"}
+        assert graphs_equal(plain, load_graph(weighted, out / "attrs.txt", out / "labels.txt"))
+        assert plain.edge_count == 4 and plain.attribute_count == 3
 
 
 def _rows(lists, dtype) -> Rows:
