@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import AttributedGraph, Rows
-from .serialize import EmbeddingTable, SerializationError, read_nbrn, write_nbrn
+from .serialize import EmbeddingTable, SerializationError, all_finite, read_nbrn, write_nbrn
 
 POOLING_MODES = ("max", "sum")
 
@@ -32,11 +32,12 @@ POOLING_MODES = ("max", "sum")
 FORWARD_CHUNK = 48
 
 # Rows per block of ``embed_blocks`` (2064): an export holds one block of
-# output rows (2.5 MB at h = 150), not the n x dim table.  Formatting and
-# writing every 48 rows instead cost `embed` about 8 % more time; 2048 rows
-# cost nothing.  A multiple of FORWARD_CHUNK, so each forward call gets the
-# nodes it gets in a whole-table pass: BLAS may round a row's hidden vector
-# differently with other rows beside it, and the bytes written would change.
+# output rows (2.5 MB at h = 150), not the n x dim table.  The text writer
+# formats a block in sub-blocks of its own (``serialize._FORMAT_ROWS``), so
+# this size bounds memory and leaves formatting alone.  A multiple of
+# FORWARD_CHUNK, so each forward call gets the nodes it gets in a whole-table
+# pass: BLAS may round a row's hidden vector differently with other rows
+# beside it, and the bytes written would change.
 EMBED_BLOCK = 43 * FORWARD_CHUNK
 
 
@@ -69,11 +70,14 @@ class ModelParameters:
             d1=self.d1, d2=self.d2, h=self.h, pooling=self.pooling,
         )
 
+    def nonfinite_block(self) -> str | None:
+        """The name of the first of P, P_prime, W and b that holds a NaN or an
+        infinity, or None."""
+        return next((name for name in ("P", "P_prime", "W", "b")
+                     if not all_finite(getattr(self, name))), None)
+
     def all_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.P)) and np.all(np.isfinite(self.P_prime))
-            and np.all(np.isfinite(self.W)) and np.all(np.isfinite(self.b))
-        )
+        return self.nonfinite_block() is None
 
 
 @dataclass
@@ -223,7 +227,8 @@ def _checkpoint_blocks(n: int, m: int, d1: int, d2: int, h: int, *_) -> tuple[in
 
 def load_checkpoint(path) -> ModelParameters:
     """The parameters of a v1 or v2 checkpoint; ``pooling`` is the mode a v2
-    file records, None for v1."""
+    file records, None for v1.  A block holding a NaN or an infinity raises
+    SerializationError."""
     version, dims, flat = read_nbrn(path, _CHECKPOINT_LAYOUTS,
                                     lambda *dims: sum(_checkpoint_blocks(*dims)))
     n, m, d1, d2, h = dims[:5]
@@ -233,7 +238,11 @@ def load_checkpoint(path) -> ModelParameters:
             raise SerializationError(f"{path}: unknown pooling mode {dims[5]}")
         pooling = POOLING_MODES[dims[5]]
     P, P_prime, W, b = np.split(flat, np.cumsum(_checkpoint_blocks(*dims))[:-1])
-    return ModelParameters(
+    params = ModelParameters(
         P=P.reshape(m, d1), P_prime=P_prime.reshape(n, d2), W=W.reshape(h, d1 + d2), b=b,
         d1=d1, d2=d2, h=h, pooling=pooling,
     )
+    bad = params.nonfinite_block()
+    if bad is not None:
+        raise SerializationError(f"{path}: checkpoint block {bad} holds a non-finite value")
+    return params

@@ -1,9 +1,10 @@
 """Embedding table container and its text / binary file formats.
 
 Text format: a header line ``<n> <dim>`` followed by one line per node,
-``<node-id> <v_1> ... <v_dim>`` with 9 significant digits.  The text reader
-rejects rows past the header's count and repeated node ids; both readers
-reject non-finite values.
+``<node-id> <v_1> ... <v_dim>``: the bytes of ``'%d'`` and ``'%.9g'``.  The
+writer formats them in numpy (``_format_rows``), a sub-block of rows at a
+time.  The text reader rejects rows past the header's count and repeated
+node ids.  Both writers refuse, and both readers reject, a non-finite value.
 
 Binary format (little-endian): magic ``NBRN``, version u32 (1), n u32,
 dim u32, then n*dim row-major float64 values.  Rows are implicitly nodes
@@ -18,12 +19,14 @@ rows a block at a time never holds all of them.  A whole table is one block.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,11 +67,17 @@ class EmbeddingTable:
         return self.vectors.shape[1]
 
 
-def _write_blocks(blocks, shape, write) -> None:
+def all_finite(array: np.ndarray) -> bool:
+    """Whether ``array`` holds no NaN or infinity, found without an array of
+    its size (NaN and the infinities reach its min or max)."""
+    return array.size == 0 or bool(np.isfinite(array.min()) and np.isfinite(array.max()))
+
+
+def _write_blocks(blocks, shape, write, path) -> None:
     """Call ``write(block, start)`` on each block of ``blocks`` (a lone table
     is one block), with ``start`` the rows written before it, and check that
-    they make an (n, dim) = ``shape`` table.  No block is held while the
-    next one is made."""
+    they make an (n, dim) = ``shape`` table of finite values.  No block is
+    held while the next one is made."""
     if isinstance(blocks, EmbeddingTable):
         blocks = (blocks,)
     n, dim = shape
@@ -76,6 +85,11 @@ def _write_blocks(blocks, shape, write) -> None:
     for block in blocks:
         if block.dim != dim:
             raise SerializationError(f"a block of {block.dim} columns in a table of {dim}")
+        if not all_finite(block.vectors):
+            row = np.flatnonzero(~np.isfinite(block.vectors).all(axis=1))[0]
+            raise SerializationError(
+                f"{path}: the embedding of node {block.ids[row]} holds a non-finite value"
+            )
         write(block, start)
         start += block.node_count
         del block
@@ -85,17 +99,183 @@ def _write_blocks(blocks, shape, write) -> None:
 
 def write_embedding_text(blocks, path, shape=None) -> None:
     """Write ``blocks``, a table or consecutive tables that make up an
-    (n, dim) = ``shape`` table, in the text format."""
+    (n, dim) = ``shape`` table, in the text format, one ``write`` per
+    ``_FORMAT_ROWS`` rows."""
     n, dim = shape = shape or blocks.vectors.shape
-    row_format = "%d " + " ".join(["%.9g"] * dim) + "\n"
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"{n} {dim}\n")
+    with Path(path).open("wb") as fh:
+        fh.write(b"%d %d\n" % (n, dim))
 
         def write(block, start):
-            for node_id, row in zip(block.ids.tolist(), block.vectors):
-                fh.write(row_format % (node_id, *row.tolist()))
+            for row in range(0, block.node_count, _FORMAT_ROWS):
+                fh.write(_format_rows(block.ids[row:row + _FORMAT_ROWS],
+                                      block.vectors[row:row + _FORMAT_ROWS]))
 
-        _write_blocks(blocks, shape, write)
+        _write_blocks(blocks, shape, write, path)
+
+
+# The text kernel.  Each value v of a row gets a 16-byte cell, two uint64
+# words (byte j of the cell is byte j % 8 of word j // 8, little-endian),
+# that holds its text padded with NUL bytes, which are then dropped.  Take v
+# = +-M * 10**(X - 8), M its 9 significant digits (10**8 <= M < 10**9) and X
+# its decimal exponent after rounding.  For X in [-4, 8] '%.9g' writes v in
+# positional form: with D = "0000" + M (13 digits), D[:5 + X] with its
+# leading zeros dropped (one kept before the point), '.', then D[5 + X:]
+# with its trailing zeros dropped, and no '.' if none is left.  So a cell
+# is built from two copies of ' ' + sign + D: A with D at byte 2, and B, A
+# shifted one byte up.  A gives the bytes before the point (byte 7 + X) and
+# B those after it, under masks looked up by (class of X, trailing zeros of
+# M) that also drop the zeros and the point '%.9g' drops.
+#
+# M comes from one product |v| * 10**(8 - X), exact as 10**(8 - X) <= 10**12
+# is, so it is at most 2**-24 from the real product.  Where that is within
+# _MARGIN of a rounding half-way point (or above _MANTISSA_MAX, where M would
+# carry into another decade), and where '%.9g' writes an exponent (X < -4 or
+# X > 8), the cell holds a _FALLBACK byte and the value's text comes from
+# '%.9g' itself.  Zero and -0.0 have a class of their own.
+
+_FORMAT_ROWS = 32  # rows per sub-block: at dim 150 each temporary is 38 KB, all in cache
+_MARGIN = 1e-6
+_MANTISSA_MAX = 999999999.0
+_FALLBACK = b"\x01"
+
+
+def _word(text: bytes) -> int:
+    """``text``, at most 8 bytes, as the uint64 it fills (NUL-padded)."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+class _Tables(NamedTuple):
+    digits: np.ndarray  # per g < 10000, '%04d' % g in the low 4 bytes
+    digits_high: np.ndarray  # the same in the high 4 bytes
+    trailing_zeros: np.ndarray  # of '%04d' % g
+    lead: np.ndarray  # per (sign, first digit of M), the cell's word 0 before the digits of D[5:]
+    class_base: np.ndarray  # per biased binary exponent of |v|
+    class_threshold: np.ndarray
+    scale: np.ndarray  # per class: 10**(8 - X); NaN for the exponent forms
+    masks: tuple[np.ndarray, ...]  # A's, B's and the constant bytes, per (class, zeros)
+    zero_cell: np.complex128
+    fallback_cell: np.ndarray
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The kernel's lookup tables, built at the first text write, so that a
+    command that writes none does not build them or touch the numpy code
+    that builds them (`embed` has its peak memory before it writes)."""
+    groups = np.arange(10000)
+    digits = np.zeros((10000, 8), dtype=np.uint8)
+    zeros = np.zeros(10000, dtype=np.int8)
+    for place in range(4):
+        digits[:, 3 - place] = groups // 10 ** place % 10 + ord("0")
+        zeros += groups % 10 ** (place + 1) == 0
+    digits = digits.view(np.uint64)[:, 0]
+
+    # Classes: 0 zero, 1 X < -4, X + 6 for X in [-4, 8], 15 X > 8.  A value
+    # is in the class of the least value of its binary exponent, or one up
+    # from the threshold 10**(X + 1).  That threshold, the double nearest
+    # 10**(X + 1), may put a value within an ulp of it one class off: its
+    # product then lands past _MANTISSA_MAX, or rounds to 10**8, the digits
+    # of the right class.
+    low = np.floor((np.arange(2048) - 1023) * np.log10(2)).astype(np.int64)  # exact here
+    base = np.clip(low, -5, 9) + 6
+    threshold = np.array([float("1e%d" % (x + 1)) if -5 <= x <= 8 else np.inf for x in low])
+    base[0], threshold[0] = 0, 5e-324  # zero, and the subnormals, which are below 1e-4
+
+    cells = np.zeros((16, 9, 3, 16), dtype=np.uint8)  # (class, zeros of M, A/B/constant, byte)
+    cells[:, :, 0, :2] = 0xFF  # ' ' and the sign
+    cells[0, :, 2, 6] = ord("0")
+    for x in range(-4, 9):
+        for trailing in range(9):
+            kept = max(8 - x - trailing, 0)  # digits after the point
+            a, b, const = cells[x + 6, trailing]
+            a[6 + min(x, 0):7 + x] = 0xFF
+            b[8 + x:8 + x + kept] = 0xFF
+            if kept:
+                const[7 + x] = ord(".")
+    # a complex128 holds both words of a row's mask: one take gathers them
+    masks = tuple(np.ascontiguousarray(cells[:, :, i]).reshape(-1, 16).view(np.complex128)[:, 0]
+                  for i in range(3))
+
+    return _Tables(
+        digits=digits,
+        digits_high=digits << np.uint64(32),
+        trailing_zeros=zeros,
+        lead=np.array([_word(b" " + sign + b"0000" + b"%d" % d)
+                       for sign in (b"\0", b"-") for d in range(10)], dtype=np.uint64),
+        class_base=base,
+        class_threshold=threshold,
+        scale=np.array([1.0, np.nan, *(10.0 ** (8 - x) for x in range(-4, 9)), np.nan]),
+        masks=masks,
+        zero_cell=np.array([_word(b" 0"), 0], dtype=np.uint64).view(np.complex128)[0],
+        fallback_cell=np.array([_word(b" " + _FALLBACK), 0], dtype=np.uint64),
+    )
+
+
+def _format_cells(v: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Write the cells of the finite values ``v`` (1-d) into ``cells`` (n, 2)
+    uint64; return the positions of the values left to '%.9g'."""
+    t = _tables()
+    a = np.abs(v)
+    e = a.view(np.int64) >> 52
+    cls = t.class_base.take(e)
+    cls += a >= t.class_threshold.take(e)
+    scaled = a * t.scale.take(cls)
+    mantissa = np.rint(scaled)
+    exact = np.abs(scaled - mantissa) <= 0.5 - _MARGIN  # False for NaN
+    exact &= scaled <= _MANTISSA_MAX
+    np.fmin(mantissa, _MANTISSA_MAX, out=mantissa)
+    m = mantissa.astype(np.int64)
+    high = m // 10000
+    g2 = m - high * 10000
+    g0 = high // 10000
+    g1 = high - g0 * 10000
+    row = cls * 9
+    row += t.trailing_zeros.take(g2)
+    row += t.trailing_zeros.take(g1) * (g2 == 0)
+    d5 = t.digits.take(g1)  # D[5:13]
+    d5 |= t.digits_high.take(g2)
+    g0 += np.signbit(v) * 10
+    a_cell = np.empty_like(cells)
+    a_cell[:, 0] = t.lead.take(g0)
+    a_cell[:, 0] |= d5 << np.uint64(56)
+    np.right_shift(d5, np.uint64(8), out=a_cell[:, 1])
+    b_cell = np.empty_like(cells)
+    np.left_shift(a_cell[:, 0], np.uint64(8), out=b_cell[:, 0])
+    b_cell[:, 1] = d5
+    mask_a, mask_b, const = (mask.take(row).view(np.uint64).reshape(-1, 2) for mask in t.masks)
+    a_cell &= mask_a
+    b_cell &= mask_b
+    np.bitwise_or(a_cell, b_cell, out=cells)
+    cells |= const
+    fallback = np.flatnonzero(~exact)
+    cells[fallback] = t.fallback_cell
+    return fallback
+
+
+def _format_rows(ids: np.ndarray, vectors: np.ndarray) -> bytes:
+    """The text lines of the rows ``vectors`` (finite values) with node ids
+    ``ids``: the bytes of ``'%d ' % id + ' '.join('%.9g' % v ...) + '\\n'``."""
+    k, dim = vectors.shape
+    # per row: the id (24 bytes), dim cells, '\n' (' \n' after an id alone)
+    lines = np.empty((k, 3 + 2 * dim + 1), dtype=np.uint64)
+    lines[:, :3] = np.frombuffer(b"".join((b"%d" % i).ljust(24, b"\0") for i in ids.tolist()),
+                                 dtype=np.uint64).reshape(k, 3)
+    lines[:, -1] = _word(b"\n" if dim else b" \n")
+    flat = vectors.reshape(-1)
+    nonzero = np.flatnonzero(flat.view(np.int64))  # -0.0 too
+    cells = np.empty(len(flat), dtype=np.complex128)
+    cells.fill(_tables().zero_cell)
+    computed = np.empty((len(nonzero), 2), dtype=np.uint64)
+    fallback = nonzero[_format_cells(flat.take(nonzero), computed)]
+    cells[nonzero] = computed.view(np.complex128)[:, 0]
+    lines[:, 3:-1] = cells.view(np.uint64).reshape(k, 2 * dim)
+    text = lines.tobytes().translate(None, b"\0")
+    if not len(fallback):
+        return text
+    pieces = [b""] * (2 * len(fallback) + 1)
+    pieces[::2] = text.split(_FALLBACK)
+    pieces[1::2] = [b"%.9g" % x for x in flat[fallback].tolist()]
+    return b"".join(pieces)
 
 
 def read_embedding_text(path) -> EmbeddingTable:
@@ -246,7 +426,7 @@ def write_embedding_binary(blocks, path, shape=None) -> None:
 
     with Path(path).open("wb") as fh:
         write_nbrn(fh, EMBEDDING_VERSION, shape)
-        _write_blocks(blocks, shape, write)
+        _write_blocks(blocks, shape, write, path)
 
 
 def read_embedding_binary(path) -> EmbeddingTable:

@@ -341,6 +341,13 @@ def whole_table_write_embedding_text(table, path):
             fh.write(row_format % (node_id, *row.tolist()))
 
 
+def percent_text_rows(ids, vectors):
+    """The text lines of rows, each value through Python's own formatting:
+    ``'%d ' % id + ' '.join('%.9g' % v ...) + '\\n'``, as bytes."""
+    return b"".join(b"%d " % i + b" ".join(b"%.9g" % v for v in row) + b"\n"
+                    for i, row in zip(np.asarray(ids).tolist(), np.asarray(vectors).tolist()))
+
+
 def whole_table_write_embedding_binary(table, path):
     """The binary writer that wrote the whole table at once: magic ``NBRN``,
     u32 version 1, n and dim, then the row-major little-endian float64s."""

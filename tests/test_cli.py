@@ -1,8 +1,12 @@
+import contextlib
+import io
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralbrane.cli import main
 from neuralbrane.graph import write_graph
@@ -11,6 +15,7 @@ from neuralbrane.model import embed_all, init_parameters, save_checkpoint
 from neuralbrane.serialize import read_embedding
 from neuralbrane.synthetic import planted_partition
 
+from .conftest import write_toy_files
 from .oracles import whole_table_write_embedding_text
 
 
@@ -497,3 +502,111 @@ class TestHelp:
                 main([command, "--help"])
             assert excinfo.value.code == 0
             assert capsys.readouterr().out
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_embed_exits_one_naming_file_and_block(self, toy_files, tmp_path, capsys, fmt,
+                                                   value):
+        params = init_parameters(5, 7, 2, 2, 3, seed=0)
+        params.W[1, 2] = value
+        checkpoint = tmp_path / "model.ckpt"
+        save_checkpoint(params, checkpoint)
+        edge_path, attr_path, _ = toy_files
+        code = main(["embed", "--edges", str(edge_path), "--attr-file", str(attr_path),
+                     "--checkpoint", str(checkpoint), "--emb-format", fmt,
+                     "--out", str(tmp_path / "emb")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {checkpoint}: checkpoint block W holds "
+                                           "a non-finite value\n")
+        assert not (tmp_path / "emb").exists()
+
+
+_ODD_TOKENS = st.sampled_from([
+    "-1", "9223372036854775807", "9223372036854775808", "1000000000000", "1e3", "1.0", "0x2",
+    "+1", "٣", "#", "#1", "nan", "\x00", "\r",
+])
+_CONSISTENT_LABEL = st.integers(0, 13).map(lambda u: f"{u} {u % 3}")
+_LABEL_LINES = st.one_of(
+    _CONSISTENT_LABEL, _CONSISTENT_LABEL, _CONSISTENT_LABEL, _CONSISTENT_LABEL,
+    st.integers(0, 13).map(lambda u: f"{u}\t{u % 2 * 7}"),
+    st.builds("{} {}".format, st.integers(0, 13), st.integers(0, 3)),
+    st.lists(st.one_of(st.integers(0, 13).map(str), _ODD_TOKENS), max_size=3).map(" ".join),
+)
+
+
+@st.composite
+def _label_file(draw):
+    """A label file, mostly well formed: lines of a node (some past the
+    embedding's 12) and a class, with repeats, conflicts, odd tokens and
+    field counts, comments, blank lines and bytes that are not UTF-8."""
+    lines = draw(st.lists(_LABEL_LINES, max_size=16))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return (ending.join(lines).encode()
+            + draw(st.sampled_from([b"", b"", b"", b"\n", b"\xff\n", b"\xc3"])))
+
+
+_CONFIG_VALUES = st.sampled_from([
+    "0", "1", "2", "2", "3", "-1", "0.5", "0.05", "1e-3", "nan", "inf", "-inf", "1e400", "",
+    "x", "max", "sum", "mean", "h", "f", "text", "binary", "=", " 1 ",
+])
+_CONFIG_KEYS = st.one_of(st.sampled_from([
+    "d1", "d2", "hidden", "lr", "learning_rate", "lambda", "reg", "batch-size", "batch_size",
+    "epochs", "seed", "pooling", "grad-agg", "tol", "convergence_tol", "export-layer",
+    "emb-format", "threads", "nodes", "attrs",
+]), st.sampled_from(["config", "c", "e", "no-such", "--lr", ""]))
+
+
+@st.composite
+def _config_file(draw):
+    """A config file of key=value lines over train's options (values kept
+    small, so that no run is long), with comments, blank lines, lines
+    without '=', unknown keys and odd bytes."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["pair"] * 6 + ["comment", "blank", "bare"]))
+        if kind == "pair":
+            lines.append(f"{draw(_CONFIG_KEYS)}={draw(_CONFIG_VALUES)}")
+        elif kind == "comment":
+            lines.append("# " + draw(_CONFIG_VALUES))
+        elif kind == "bare":
+            lines.append(draw(_CONFIG_KEYS))
+        else:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    return ("\n".join(lines).encode()
+            + draw(st.sampled_from([b"", b"", b"\n", b"\r\n", b"\xff"])))
+
+
+class TestFuzz:
+    """Odd label and config files end in exit 0 or 1, never in an internal
+    error (exit 2) or a traceback."""
+
+    def run(self, argv):
+        with contextlib.redirect_stderr(io.StringIO()) as stderr:
+            code = main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 1), err
+        assert "internal error" not in err and "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_label_file(), task=st.sampled_from(["classify", "cluster", "project"]))
+    def test_label_files(self, tmp_path_factory, data, task):
+        directory = tmp_path_factory.mktemp("labels")
+        emb = directory / "emb.txt"
+        emb.write_text("12 2\n" + "".join(f"{u} {u}.5 {u % 3}\n" for u in range(12)))
+        labels = directory / "labels.txt"
+        labels.write_bytes(data)
+        self.run(["evaluate", "--embeddings", str(emb), "--labels", str(labels),
+                          "--task", task, "--ratios", "0.5", "--repeats", "1",
+                          "--out", str(directory / "p.csv")])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_config_file())
+    def test_config_files(self, tmp_path_factory, data):
+        directory = tmp_path_factory.mktemp("config")
+        paths = write_toy_files(directory)
+        config = directory / "run.cfg"
+        config.write_bytes(data)
+        self.run(train_args(paths, directory / "emb.txt",
+                                    ["--epochs", "1", "--config", str(config)]))

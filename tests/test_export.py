@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neuralbrane.cli import main
 from neuralbrane.graph import from_edges, write_graph
@@ -12,7 +14,8 @@ from neuralbrane.model import (
     EMBED_BLOCK, embed_all, embed_blocks, init_parameters, save_checkpoint,
 )
 from neuralbrane.serialize import (
-    EmbeddingTable, SerializationError, write_embedding_binary, write_embedding_text,
+    _FORMAT_ROWS, EmbeddingTable, SerializationError, write_embedding_binary,
+    write_embedding_text,
 )
 
 from .oracles import whole_table_write_embedding_binary, whole_table_write_embedding_text
@@ -51,6 +54,26 @@ def test_streamed_export_matches_whole_table_writers(tmp_path, n):
                 write(embed_blocks(params, g, layer, pooling), streamed, table.vectors.shape)
                 oracle(table, whole)
                 assert streamed.read_bytes() == whole.read_bytes(), (layer, pooling, fmt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 3 * _FORMAT_ROWS + 2), dim=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_text_writer_in_any_blocks_matches_whole_table_writer(tmp_path_factory, data, n, dim,
+                                                              seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-7, 11, (n, dim))
+    vectors[rng.random((n, dim)) < 0.4] = 0.0
+    vectors[rng.random((n, dim)) < 0.05] = -0.0
+    table = EmbeddingTable(vectors=vectors, ids=rng.permutation(n) * 7919)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    bounds = [0, *cuts, n]
+    blocks = [EmbeddingTable(vectors=vectors[a:b], ids=table.ids[a:b])
+              for a, b in zip(bounds, bounds[1:])]
+    directory = tmp_path_factory.mktemp("export")
+    write_embedding_text(blocks, directory / "s.txt", (n, dim))
+    whole_table_write_embedding_text(table, directory / "w.txt")
+    assert (directory / "s.txt").read_bytes() == (directory / "w.txt").read_bytes()
 
 
 def test_blocks_are_consecutive_and_full_but_the_last():

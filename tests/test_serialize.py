@@ -1,12 +1,16 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neuralbrane.model import init_parameters, load_checkpoint, save_checkpoint
+from neuralbrane.model import ModelParameters, init_parameters, load_checkpoint, save_checkpoint
 from neuralbrane.serialize import (
     EmbeddingTable,
     SerializationError,
+    _format_rows,
     read_embedding,
     read_embedding_binary,
     read_embedding_text,
@@ -14,7 +18,11 @@ from neuralbrane.serialize import (
     write_embedding_text,
 )
 
-from .oracles import rowwise_read_embedding_text
+from .oracles import (
+    percent_text_rows,
+    rowwise_read_embedding_text,
+    whole_table_write_embedding_binary,
+)
 
 
 def test_text_round_trip(tmp_path, rng):
@@ -177,7 +185,7 @@ def test_checkpoint_and_embedding_not_mistaken_for_each_other(tmp_path):
 
 def test_text_writer_matches_per_value_format(tmp_path, rng):
     vectors = rng.normal(scale=1e3, size=(5, 4))
-    vectors[0] = [np.nan, np.inf, -np.inf, -0.0]
+    vectors[0] = [0.0, 5e-324, -1e-5, -0.0]
     vectors[1] = [1e-300, 1e300, 123456789.0, 0.1]
     table = EmbeddingTable(vectors=vectors, ids=[7, 3, 0, 12, 5])
     write_embedding_text(table, tmp_path / "emb.txt")
@@ -213,7 +221,7 @@ def test_text_reader_allows_trailing_blank_lines(tmp_path):
 def test_binary_reader_rejects_non_finite(tmp_path):
     vectors = np.ones((3, 2))
     vectors[1, 0] = np.nan
-    write_embedding_binary(EmbeddingTable(vectors=vectors), tmp_path / "emb.bin")
+    whole_table_write_embedding_binary(EmbeddingTable(vectors=vectors), tmp_path / "emb.bin")
     with pytest.raises(SerializationError, match="row 1 holds a non-finite value"):
         read_embedding(tmp_path / "emb.bin")
 
@@ -266,3 +274,156 @@ class TestTextReaderMatchesRowReader:
             assert np.array_equal(table.ids, ids)
             assert table.vectors.shape == vectors.shape
             assert np.array_equal(table.vectors, vectors)
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_FINITE_BITS = st.integers(0, 2**64 - 1).map(_float).filter(math.isfinite)
+_POSITIONAL = st.builds(lambda m, x: m * 10.0 ** x,
+                        st.floats(-10.0, 10.0, allow_nan=False), st.integers(-6, 10))
+
+
+def _ties() -> list[float]:
+    """Values exactly half-way between two 9-digit roundings: k / 2**(9 - X)
+    for odd k, whose 10 significant digits end in 5, for X in [-4, 8]."""
+    ties = []
+    for x in range(-4, 9):
+        p = 5 ** (9 - x)
+        first = -(-10**9 // p) | 1
+        for k in (first, first + 2, first + 12, 10**10 // p - 1 | 1):
+            if 10**9 <= k * p < 10**10:
+                ties.append(k / 2 ** (9 - x))
+    return ties
+
+
+_POWERS = [float("1e%d" % k) for k in range(-8, 11)]
+# decimal half-way points: the double nearest each is not one, but its
+# product by a power of ten may round to one
+_DECIMAL_TIES = [float("%s5e%d" % (m, x)) for m in ("1.23456789", "9.87654321", "1.00000000",
+                                                     "5.55555555") for x in range(-5, 9)]
+# 9 nines and more: they round up into the next decade
+_CARRIES = [float("9.99999999%de%d" % (d, x)) for d in (5, 7, 9) for x in range(-5, 9)]
+_EDGES = [
+    *_ties(), *_DECIMAL_TIES, *_CARRIES,
+    *_POWERS, *np.nextafter(_POWERS, 0.0), *np.nextafter(_POWERS, np.inf),
+    1e-4, 1e-5, 9.9999999995e-5, 9.99999999949e-5, 0.00010000000005, 1e9, 1e9 - 0.5,
+    999999999.5, 999999999.49999994, 999999999.4, 9.999999995, 0.9999999995, 99999999.95,
+    5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0, 1.0, 0.5, 2.5,
+]
+
+
+class TestTextKernel:
+    """``serialize._format_rows`` writes every row in numpy; its bytes are
+    those of ``'%d '`` and ``'%.9g'`` per value (``percent_text_rows``)."""
+
+    def check(self, ids, vectors):
+        ids = np.asarray(ids, dtype=np.int64)
+        vectors = np.asarray(vectors, dtype=np.float64)
+        assert _format_rows(ids, vectors) == percent_text_rows(ids, vectors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 4), dim=st.integers(0, 5))
+    def test_bit_patterns(self, data, rows, dim):
+        values = st.one_of(_FINITE_BITS, _POSITIONAL, st.sampled_from(_EDGES))
+        vectors = [[data.draw(values) for _ in range(dim)] for _ in range(rows)]
+        ids = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=rows, max_size=rows))
+        self.check(ids, np.array(vectors).reshape(rows, dim))
+
+    def test_edges_both_signs(self):
+        edges = np.array(_EDGES)
+        self.check(np.arange(2), [edges, -edges])
+
+    def test_ties_are_ties(self):
+        for tie in _ties():
+            digits = ("%.9e" % tie).split("e")[0].replace(".", "")
+            assert digits.endswith("5") and float("%.9e" % tie) == tie, tie
+
+    def test_every_binary_exponent(self):
+        # the least and the greatest double of each binary exponent, and the
+        # doubles around each power of ten from 1e-5 to 1e9
+        least = np.ldexp(1.0, np.arange(-1074, 1024))
+        greatest = np.append(np.nextafter(least[1:], 0.0), np.finfo(np.float64).max)
+        powers = np.array([float("1e%d" % k) for k in range(-5, 10)])
+        values = np.concatenate([least, greatest, np.nextafter(powers, 0.0), powers,
+                                 np.nextafter(powers, np.inf)])
+        self.check(np.arange(2), [values, -values])
+
+    @pytest.mark.parametrize("rows", [0, 1, 65])
+    def test_row_counts_and_extreme_ids(self, rng, rows):
+        ids = rng.integers(-2**63, 2**63 - 1, size=rows, endpoint=True)
+        ids[:2] = [2**63 - 1, -2**63][:rows]
+        vectors = rng.normal(size=(rows, 150)) * 10.0 ** rng.integers(-6, 10, (rows, 150))
+        vectors[rng.random((rows, 150)) < 0.5] = 0.0
+        self.check(ids, vectors)
+
+
+@pytest.mark.parametrize("writer", [write_embedding_text, write_embedding_binary])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_writers_refuse_non_finite_values(tmp_path, writer, value):
+    vectors = np.ones((4, 3))
+    vectors[2, 1] = value
+    path = tmp_path / "emb"
+    with pytest.raises(SerializationError) as raised:
+        writer([EmbeddingTable(vectors=vectors[:2]), EmbeddingTable(vectors=vectors[2:],
+                                                                     ids=[2, 3])], path, (4, 3))
+    assert str(raised.value) == f"{path}: the embedding of node 2 holds a non-finite value"
+
+
+@pytest.mark.parametrize("block", ["P", "P_prime", "W", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_with_a_non_finite_value_rejected(tmp_path, block, value):
+    params = init_parameters(4, 3, 2, 2, 3, seed=0)
+    getattr(params, block).flat[-1] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(params, path)
+    with pytest.raises(SerializationError) as raised:
+        load_checkpoint(path)
+    assert str(raised.value) == f"{path}: checkpoint block {block} holds a non-finite value"
+
+
+_VALUES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRoundTrips:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dims=st.tuples(*[st.integers(1, 4)] * 5),
+           pooling=st.sampled_from([None, "max", "sum"]))
+    def test_checkpoint(self, tmp_path_factory, data, dims, pooling):
+        n, m, d1, d2, h = dims
+        shapes = {"P": (m, d1), "P_prime": (n, d2), "W": (h, d1 + d2), "b": (h,)}
+        arrays = {name: np.array(data.draw(st.lists(_VALUES, min_size=int(np.prod(shape)),
+                                                    max_size=int(np.prod(shape)))),
+                                 dtype=np.float64).reshape(shape)
+                  for name, shape in shapes.items()}
+        params = ModelParameters(**arrays, d1=d1, d2=d2, h=h, pooling=pooling)
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert (loaded.d1, loaded.d2, loaded.h, loaded.pooling) == (d1, d2, h, pooling or "max")
+        for name, array in arrays.items():
+            assert getattr(loaded, name).tobytes() == array.tobytes(), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(_VALUES, min_size=3, max_size=3), max_size=6))
+    def test_binary_embedding(self, tmp_path_factory, rows):
+        vectors = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+        path = tmp_path_factory.mktemp("emb") / "e.bin"
+        write_embedding_binary(EmbeddingTable(vectors=vectors), path)
+        loaded = read_embedding(path)
+        assert loaded.vectors.tobytes() == vectors.tobytes()
+        assert np.array_equal(loaded.ids, np.arange(len(rows)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(_VALUES, _FINITE_BITS), min_size=3, max_size=3),
+                         max_size=6),
+           ids=st.lists(st.integers(-2**63, 2**63 - 1), min_size=6, max_size=6, unique=True))
+    def test_text_embedding(self, tmp_path_factory, rows, ids):
+        vectors = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
+        path = tmp_path_factory.mktemp("emb") / "e.txt"
+        write_embedding_text(EmbeddingTable(vectors=vectors, ids=ids[:len(rows)]), path)
+        loaded = read_embedding(path)
+        assert loaded.ids.tolist() == ids[:len(rows)]
+        want = [[float("%.9g" % v) for v in row] for row in rows]
+        assert loaded.vectors.tolist() == want
