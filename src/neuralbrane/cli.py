@@ -166,7 +166,10 @@ def _export(params, g: "AttributedGraph", args, pooling: str) -> None:
     rows at a time."""
     write = write_embedding_binary if args.emb_format == "binary" else write_embedding_text
     dim = params.h if args.export_layer == "h" else params.d
-    write(embed_blocks(params, g, args.export_layer, pooling), args.out, (g.node_count, dim))
+    # a forward that overflows gives non-finite rows, which the writer
+    # refuses, naming the node; numpy's warning would only come before that
+    with np.errstate(over="ignore", invalid="ignore"):
+        write(embed_blocks(params, g, args.export_layer, pooling), args.out, (g.node_count, dim))
 
 
 def cmd_train(args) -> int:

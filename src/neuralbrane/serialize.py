@@ -19,8 +19,10 @@ rows a block at a time never holds all of them.  A whole table is one block.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
+import stat
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -97,12 +99,27 @@ def _write_blocks(blocks, shape, write, path) -> None:
         raise SerializationError(f"the blocks hold {start} rows, the table {n}")
 
 
+@contextlib.contextmanager
+def _output(path):
+    """``path`` opened for binary writing, and removed again if the write
+    fails, so that a refused block leaves no partial file behind.  Only a
+    regular file is removed: a device such as /dev/null, or a symlink, stays."""
+    fh = Path(path).open("wb")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+        raise
+
+
 def write_embedding_text(blocks, path, shape=None) -> None:
     """Write ``blocks``, a table or consecutive tables that make up an
     (n, dim) = ``shape`` table, in the text format, one ``write`` per
     ``_FORMAT_ROWS`` rows."""
     n, dim = shape = shape or blocks.vectors.shape
-    with Path(path).open("wb") as fh:
+    with _output(path) as fh:
         fh.write(b"%d %d\n" % (n, dim))
 
         def write(block, start):
@@ -131,7 +148,7 @@ def write_embedding_text(blocks, path, shape=None) -> None:
 # _MARGIN of a rounding half-way point (or above _MANTISSA_MAX, where M would
 # carry into another decade), and where '%.9g' writes an exponent (X < -4 or
 # X > 8), the cell holds a _FALLBACK byte and the value's text comes from
-# '%.9g' itself.  Zero and -0.0 have a class of their own.
+# '%.9g' itself.  Zero has a class of its own, whose cell is ' ' + sign + '0'.
 
 _FORMAT_ROWS = 32  # rows per sub-block: at dim 150 each temporary is 38 KB, all in cache
 _MARGIN = 1e-6
@@ -153,7 +170,6 @@ class _Tables(NamedTuple):
     class_threshold: np.ndarray
     scale: np.ndarray  # per class: 10**(8 - X); NaN for the exponent forms
     masks: tuple[np.ndarray, ...]  # A's, B's and the constant bytes, per (class, zeros)
-    zero_cell: np.complex128
     fallback_cell: np.ndarray
 
 
@@ -206,47 +222,57 @@ def _tables() -> _Tables:
         class_threshold=threshold,
         scale=np.array([1.0, np.nan, *(10.0 ** (8 - x) for x in range(-4, 9)), np.nan]),
         masks=masks,
-        zero_cell=np.array([_word(b" 0"), 0], dtype=np.uint64).view(np.complex128)[0],
         fallback_cell=np.array([_word(b" " + _FALLBACK), 0], dtype=np.uint64),
     )
 
 
 def _format_cells(v: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Write the cells of the finite values ``v`` (1-d) into ``cells`` (n, 2)
-    uint64; return the positions of the values left to '%.9g'."""
+    uint64; return the positions of the values left to '%.9g'.  Each
+    temporary is dropped, or reused, once it is spent, so that few of them,
+    8 or 16 bytes a value each, are alive at once."""
     t = _tables()
-    a = np.abs(v)
-    e = a.view(np.int64) >> 52
-    cls = t.class_base.take(e)
-    cls += a >= t.class_threshold.take(e)
-    scaled = a * t.scale.take(cls)
+    scaled = np.abs(v)
+    e = scaled.view(np.int64) >> 52
+    row = t.class_base.take(e)  # the class, then the mask row
+    row += scaled >= t.class_threshold.take(e)
+    del e
+    scaled *= t.scale.take(row)
     mantissa = np.rint(scaled)
     exact = np.abs(scaled - mantissa) <= 0.5 - _MARGIN  # False for NaN
     exact &= scaled <= _MANTISSA_MAX
+    del scaled
     np.fmin(mantissa, _MANTISSA_MAX, out=mantissa)
-    m = mantissa.astype(np.int64)
-    high = m // 10000
-    g2 = m - high * 10000
-    g0 = high // 10000
-    g1 = high - g0 * 10000
-    row = cls * 9
+    g2 = mantissa.astype(np.int64)
+    del mantissa
+    g1 = g2 // 10000
+    g2 -= g1 * 10000
+    g0 = g1 // 10000
+    g1 -= g0 * 10000
+    row *= 9
     row += t.trailing_zeros.take(g2)
     row += t.trailing_zeros.take(g1) * (g2 == 0)
     d5 = t.digits.take(g1)  # D[5:13]
     d5 |= t.digits_high.take(g2)
+    del g1, g2
     g0 += np.signbit(v) * 10
-    a_cell = np.empty_like(cells)
-    a_cell[:, 0] = t.lead.take(g0)
-    a_cell[:, 0] |= d5 << np.uint64(56)
-    np.right_shift(d5, np.uint64(8), out=a_cell[:, 1])
+    cells[:, 0] = t.lead.take(g0)  # A
+    del g0
+    cells[:, 0] |= d5 << np.uint64(56)
+    np.right_shift(d5, np.uint64(8), out=cells[:, 1])
     b_cell = np.empty_like(cells)
-    np.left_shift(a_cell[:, 0], np.uint64(8), out=b_cell[:, 0])
+    np.left_shift(cells[:, 0], np.uint64(8), out=b_cell[:, 0])
     b_cell[:, 1] = d5
-    mask_a, mask_b, const = (mask.take(row).view(np.uint64).reshape(-1, 2) for mask in t.masks)
-    a_cell &= mask_a
-    b_cell &= mask_b
-    np.bitwise_or(a_cell, b_cell, out=cells)
-    cells |= const
+    del d5
+
+    def mask(i):  # t.masks[i] by row, as (n, 2) uint64
+        return t.masks[i].take(row).view(np.uint64).reshape(-1, 2)
+
+    b_cell &= mask(1)
+    cells &= mask(0)
+    cells |= b_cell
+    del b_cell
+    cells |= mask(2)
     fallback = np.flatnonzero(~exact)
     cells[fallback] = t.fallback_cell
     return fallback
@@ -256,20 +282,18 @@ def _format_rows(ids: np.ndarray, vectors: np.ndarray) -> bytes:
     """The text lines of the rows ``vectors`` (finite values) with node ids
     ``ids``: the bytes of ``'%d ' % id + ' '.join('%.9g' % v ...) + '\\n'``."""
     k, dim = vectors.shape
+    flat = vectors.reshape(-1)
+    cells = np.empty((len(flat), 2), dtype=np.uint64)
+    fallback = _format_cells(flat, cells)
     # per row: the id (24 bytes), dim cells, '\n' (' \n' after an id alone)
     lines = np.empty((k, 3 + 2 * dim + 1), dtype=np.uint64)
     lines[:, :3] = np.frombuffer(b"".join((b"%d" % i).ljust(24, b"\0") for i in ids.tolist()),
                                  dtype=np.uint64).reshape(k, 3)
+    lines[:, 3:-1] = cells.reshape(k, 2 * dim)
+    del cells
     lines[:, -1] = _word(b"\n" if dim else b" \n")
-    flat = vectors.reshape(-1)
-    nonzero = np.flatnonzero(flat.view(np.int64))  # -0.0 too
-    cells = np.empty(len(flat), dtype=np.complex128)
-    cells.fill(_tables().zero_cell)
-    computed = np.empty((len(nonzero), 2), dtype=np.uint64)
-    fallback = nonzero[_format_cells(flat.take(nonzero), computed)]
-    cells[nonzero] = computed.view(np.complex128)[:, 0]
-    lines[:, 3:-1] = cells.view(np.uint64).reshape(k, 2 * dim)
     text = lines.tobytes().translate(None, b"\0")
+    del lines
     if not len(fallback):
         return text
     pieces = [b""] * (2 * len(fallback) + 1)
@@ -424,7 +448,7 @@ def write_embedding_binary(blocks, path, shape=None) -> None:
             raise SerializationError("binary embedding format requires ids 0..n-1")
         fh.write(np.ascontiguousarray(block.vectors, dtype="<f8"))
 
-    with Path(path).open("wb") as fh:
+    with _output(path) as fh:
         write_nbrn(fh, EMBEDDING_VERSION, shape)
         _write_blocks(blocks, shape, write, path)
 

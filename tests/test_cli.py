@@ -522,6 +522,24 @@ class TestNonFiniteCheckpoint:
                                            "a non-finite value\n")
         assert not (tmp_path / "emb").exists()
 
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_overflowing_forward_exits_one_and_leaves_no_file(self, toy_files, tmp_path, capsys,
+                                                              fmt):
+        # a finite checkpoint whose hidden layer overflows to inf for every node
+        params = init_parameters(5, 7, 2, 2, 3, seed=0)
+        params.P[:] = 1e10
+        params.W[:] = 1e300
+        checkpoint = tmp_path / "model.ckpt"
+        save_checkpoint(params, checkpoint)
+        edge_path, attr_path, _ = toy_files
+        out = tmp_path / "emb"
+        code = main(["embed", "--edges", str(edge_path), "--attr-file", str(attr_path),
+                     "--checkpoint", str(checkpoint), "--emb-format", fmt, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {out}: the embedding of node 0 holds "
+                                           "a non-finite value\n")
+        assert not out.exists()
+
 
 _ODD_TOKENS = st.sampled_from([
     "-1", "9223372036854775807", "9223372036854775808", "1000000000000", "1e3", "1.0", "0x2",

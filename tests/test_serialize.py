@@ -369,6 +369,18 @@ def test_writers_refuse_non_finite_values(tmp_path, writer, value):
         writer([EmbeddingTable(vectors=vectors[:2]), EmbeddingTable(vectors=vectors[2:],
                                                                      ids=[2, 3])], path, (4, 3))
     assert str(raised.value) == f"{path}: the embedding of node 2 holds a non-finite value"
+    assert not path.exists()  # nor the header and rows written before the refusal
+
+
+def test_refused_write_removes_only_a_regular_file(tmp_path):
+    # what --out names and is not a regular file (here a symlink; a device
+    # such as /dev/null alike) is left in place
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"")
+    link.symlink_to(target)
+    with pytest.raises(SerializationError):
+        write_embedding_text(EmbeddingTable(vectors=[[np.nan]]), link)
+    assert link.is_symlink()
 
 
 @pytest.mark.parametrize("block", ["P", "P_prime", "W", "b"])
