@@ -4,13 +4,11 @@ from .graph import AttributedGraph, GraphFormatError, Rows, load_graph, write_gr
 from .model import (
     ForwardTrace,
     ModelParameters,
-    bpr_probability,
     embed_all,
     forward,
     init_parameters,
     load_checkpoint,
     save_checkpoint,
-    similarity,
 )
 from .sampler import SamplingError, Triplet, TripletSampler
 from .serialize import EmbeddingTable, read_embedding, write_embedding_text
@@ -32,8 +30,6 @@ __all__ = [
     "ForwardTrace",
     "init_parameters",
     "forward",
-    "similarity",
-    "bpr_probability",
     "embed_all",
     "save_checkpoint",
     "load_checkpoint",

@@ -2,16 +2,11 @@
 
 A node is encoded by max-pooling embedding rows looked up for its attributes
 and, separately, for its neighbors; the two pooled vectors are concatenated
-and pushed through a shared ReLU layer.  ``forward`` does this for an array
-of nodes at once: each half's rows are gathered end to end, each node's run
-of them is reduced in one ``reduceat``, and one GEMM applies the hidden
-layer.  Node similarity is the dot product of the hidden representations,
-and the ranking probability for a triplet is a sigmoid of the similarity
-margin.
-
-Nodes with an empty attribute set (or no neighbors) pool to the zero vector
-and route no gradient through that half; max-pool ties resolve to the lowest
-row index so backpropagation is deterministic.
+and pushed through a shared ReLU layer.  One kernel, ``_pool``, pools for
+``forward`` (training, which also keeps the max-pool winners) and for
+``embed_all``.  A node without attributes (or neighbors) pools to zero there
+and routes no gradient through that half; max-pool ties resolve to the
+lowest row index so backpropagation is deterministic.
 """
 
 from __future__ import annotations
@@ -27,18 +22,21 @@ from .serialize import EmbeddingTable, SerializationError, all_finite, read_nbrn
 
 POOLING_MODES = ("max", "sum")
 
-# Nodes per forward call (16 triplets in training).  The gathered rows, and
-# with them the peak memory of training and embedding, grow with it.
+# Rows per hidden-layer GEMM in ``embed_all``: BLAS may round a row
+# differently with other rows beside it, so fixed slices keep an embedding's
+# bytes independent of how many nodes one call embeds.
 FORWARD_CHUNK = 48
 
-# Rows per block of ``embed_blocks`` (2064): an export holds one block of
-# output rows (2.5 MB at h = 150), not the n x dim table.  The text writer
-# formats a block in sub-blocks of its own (``serialize._FORMAT_ROWS``), so
-# this size bounds memory and leaves formatting alone.  A multiple of
-# FORWARD_CHUNK, so each forward call gets the nodes it gets in a whole-table
-# pass: BLAS may round a row's hidden vector differently with other rows
-# beside it, and the bytes written would change.
+# Rows per block of ``embed_blocks`` (2064): an export holds and pools one
+# block of output rows (2.5 MB at h = 150), not the n x dim table.  A
+# multiple of FORWARD_CHUNK, so a block's GEMM slices, and with them the
+# bytes written, are those of a whole-table pass.
 EMBED_BLOCK = 43 * FORWARD_CHUNK
+
+# Embedding rows per sub-block of the pooling kernel, its largest temporary
+# (0.6 MB at width 75, reduced while still in cache: on large-embed inputs
+# 1024 pooled faster than 4096 or 8192).  A longer node is gathered alone.
+_POOL_ROWS = 1024
 
 
 @dataclass
@@ -84,32 +82,19 @@ class ModelParameters:
 class ForwardTrace:
     """Every intermediate of one forward pass over k nodes, kept for exact
     backprop; row r of each field belongs to the r-th node passed in.
+    ``attr_rows`` / ``nbr_rows`` hold the k nodes' row ids (``Rows.take``).
+    For max pooling, ``attr_winners`` (k x d1) / ``nbr_winners`` (k x d2)
+    hold per column the position in the node's row of the row that won the
+    max-pool, the lowest on a tie (zeros for a half without rows); sum
+    pooling has none."""
 
-    ``attr_rows`` / ``nbr_rows`` hold the k nodes' row ids (``Rows.take``),
-    and ``attr_block`` / ``nbr_block`` the rows they select, one per entry of
-    their ``values``.
-    """
-
-    pooling: str
     attr_rows: Rows
     nbr_rows: Rows
-    attr_block: np.ndarray
-    nbr_block: np.ndarray
+    attr_winners: np.ndarray | None
+    nbr_winners: np.ndarray | None
     f: np.ndarray
     pre_activation: np.ndarray
     h_vec: np.ndarray
-
-    def winners(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """For the r-th node, per output dimension, the position in its
-        ``attr_rows`` / ``nbr_rows`` row of the row that won the max-pool, the
-        lowest on a tie.  Sum pooling and a half without rows have no winners
-        (an empty array)."""
-        found = []
-        for rows, block in ((self.attr_rows, self.attr_block), (self.nbr_rows, self.nbr_block)):
-            run = block[rows.indptr[r]:rows.indptr[r + 1]]
-            found.append(np.argmax(run, axis=0) if self.pooling == "max" and len(run)
-                         else np.empty(0, dtype=np.int64))
-        return found[0], found[1]
 
 
 INIT_STDDEV = 0.1  # i.e. variance 0.01; smaller scales cannot escape the
@@ -134,32 +119,60 @@ def init_parameters(n: int, m: int, d1: int, d2: int, h: int, seed=0) -> ModelPa
     )
 
 
-def forward(params: ModelParameters, g: AttributedGraph, nodes, pooling="max") -> ForwardTrace:
-    """Pool each node's two halves, concatenate them (attributes first) and
-    apply the hidden layer, for every node of ``nodes`` at once."""
+def _pool(matrix: np.ndarray, rows: Rows, pooling: str, out: np.ndarray,
+          backprop: bool) -> np.ndarray | None:
+    """Pool ``matrix``'s rows for each of the k rows of ``rows`` into the
+    (k x width) zeros of ``out`` (an empty row stays zero); returns with
+    ``backprop`` under max pooling the (k x width) winners (see
+    ForwardTrace), else None.
+
+    Nodes are bucketed by ceil(log2 length), and a bucket is laid out as an
+    (L x nodes) index, L its longest row, then gathered and reduced over L in
+    sub-blocks of about ``_POOL_ROWS`` rows: a node pads at most 2x, inside
+    its own bucket.  Max pooling pads a row with its own last id, which moves
+    neither the max nor the lowest winner.  Sum pooling adds a node's rows in
+    order, padded with -0.0, so every sum is bit for bit the in-order one.
+    """
     if pooling not in POOLING_MODES:
         raise ValueError(f"unknown pooling mode {pooling!r}")
+    lengths = np.diff(rows.indptr)
+    won = np.zeros(out.shape, dtype=np.intp) if backprop and pooling == "max" else None
+    filled = np.flatnonzero(lengths)
+    bucket = np.frexp(lengths[filled] - 1)[1]  # ceil(log2 length)
+    for b in np.unique(bucket):
+        members = filled[bucket == b]
+        length = lengths[members]
+        depth = int(length.max())
+        slots = np.arange(depth)[:, None]
+        idx = rows.values[rows.indptr[members] + np.minimum(slots, length - 1)]
+        step = max(1, _POOL_ROWS // depth)
+        for start in range(0, len(members), step):
+            part = members[start:start + step]
+            block = matrix[idx[:, start:start + step]]
+            if pooling == "max":
+                out[part] = block.max(axis=0)
+                if won is not None:  # argmax takes the lowest position on a tie
+                    won[part] = block.argmax(axis=0)
+            else:
+                block[slots >= length[start:start + step]] = -0.0
+                for row in block[1:]:
+                    block[0] += row
+                out[part] = block[0]
+    return won
+
+
+def forward(params: ModelParameters, g: AttributedGraph, nodes, pooling="max") -> ForwardTrace:
+    """Pool each node's two halves, concatenate them (attributes first) and
+    apply the hidden layer as one GEMM, for every node of ``nodes`` at once;
+    keeps what backpropagation needs, the max-pool winners included."""
     nodes = np.asarray(nodes, dtype=np.int64)
-    reduce = np.maximum if pooling == "max" else np.add
-    halves = []
-    for matrix, lists in ((params.P, g.attributes), (params.P_prime, g.neighbors)):
-        rows = lists.take(nodes)
-        block = matrix[rows.values]
-        filled = rows.indptr[1:] > rows.indptr[:-1]
-        pooled = np.zeros((len(nodes), matrix.shape[1]))  # a node without rows pools to zero
-        pooled[filled] = reduce.reduceat(block, rows.indptr[:-1][filled], axis=0)
-        halves.append((rows, block, pooled))
-    (attr_rows, attr_block, v_attr), (nbr_rows, nbr_block, v_nbr) = halves
-    f = np.concatenate([v_attr, v_nbr], axis=1)
+    attr_rows, nbr_rows = g.attributes.take(nodes), g.neighbors.take(nodes)
+    f = np.zeros((len(nodes), params.d))
+    attr_winners = _pool(params.P, attr_rows, pooling, f[:, :params.d1], backprop=True)
+    nbr_winners = _pool(params.P_prime, nbr_rows, pooling, f[:, params.d1:], backprop=True)
     pre = f @ params.W.T + params.b
-    return ForwardTrace(pooling, attr_rows, nbr_rows, attr_block, nbr_block, f, pre,
+    return ForwardTrace(attr_rows, nbr_rows, attr_winners, nbr_winners, f, pre,
                         np.maximum(pre, 0.0))
-
-
-def similarity(h_u: np.ndarray, h_i: np.ndarray) -> float:
-    if h_u.shape != h_i.shape:
-        raise ValueError("similarity needs vectors of equal length")
-    return float(np.dot(h_u, h_i))
 
 
 def sigmoid(x: float) -> float:
@@ -170,27 +183,23 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def bpr_probability(s_ui: float, s_uj: float) -> float:
-    """Probability that the ranking s_ui > s_uj is preserved."""
-    return sigmoid(s_ui - s_uj)
-
-
-def embed_all(
-    params: ModelParameters,
-    g: AttributedGraph,
-    layer: str = "h",
-    pooling: str = "max",
-    nodes=None,
-) -> EmbeddingTable:
-    """Embed ``nodes`` (every node by default): row r is node ``nodes[r]``'s
-    hidden vector, or its pooled vector for layer='f'."""
+def embed_all(params: ModelParameters, g: AttributedGraph, layer: str = "h",
+              pooling: str = "max", nodes=None) -> EmbeddingTable:
+    """Embed ``nodes`` (every node by default), pooled in one kernel call:
+    row r is node ``nodes[r]``'s hidden vector, or its pooled vector for
+    layer='f'.  The hidden layer runs in ``FORWARD_CHUNK`` slices."""
     if layer not in ("h", "f"):
         raise ValueError(f"layer must be 'h' or 'f', got {layer!r}")
     nodes = np.arange(g.node_count) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    out = np.empty((len(nodes), params.h if layer == "h" else params.d))
+    f = np.zeros((len(nodes), params.d))
+    _pool(params.P, g.attributes.take(nodes), pooling, f[:, :params.d1], backprop=False)
+    _pool(params.P_prime, g.neighbors.take(nodes), pooling, f[:, params.d1:], backprop=False)
+    if layer == "f":
+        return EmbeddingTable(vectors=f, ids=nodes)
+    out = np.empty((len(nodes), params.h))
     for start in range(0, len(nodes), FORWARD_CHUNK):
-        trace = forward(params, g, nodes[start:start + FORWARD_CHUNK], pooling)
-        out[start:start + FORWARD_CHUNK] = trace.h_vec if layer == "h" else trace.f
+        pre = f[start:start + FORWARD_CHUNK] @ params.W.T + params.b
+        out[start:start + FORWARD_CHUNK] = np.maximum(pre, 0.0)
     return EmbeddingTable(vectors=out, ids=nodes)
 
 

@@ -3,11 +3,10 @@
 Per triplet (u, i, j) the loss is -ln sigmoid(s_ui - s_uj) plus an L2 term
 over the parameters the triplet actually touches: the attribute and neighbor
 embedding rows looked up by any of its three nodes, and W and b.  A batch
-runs ``forward`` on the distinct nodes of each chunk of ``FORWARD_CHUNK``
-nodes; gradients are then computed by hand per node through the dot-product
-margin, the ReLU hidden layer, the concatenation, and the pooling (routed
-to the max-pool winners, broadcast to all rows for sum pooling), and summed
-once into a block of rows per embedding matrix.
+runs ``forward`` once, on its distinct nodes; gradients are then computed by
+hand per lookup through the dot-product margin, the ReLU hidden layer, the
+concatenation, and the pooling (routed to the max-pool winners, broadcast
+to all rows for sum pooling), and summed into a block of rows per matrix.
 
 One epoch processes as many triplets as the graph has undirected edges,
 resampled every epoch; gradients are averaged per batch by default so the
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import AttributedGraph, Rows
-from .model import FORWARD_CHUNK, POOLING_MODES, ModelParameters, forward, init_parameters, sigmoid
+from .model import POOLING_MODES, ModelParameters, forward, init_parameters, sigmoid
 from .sampler import Triplet, TripletSampler
 
 log = logging.getLogger(__name__)
@@ -110,29 +109,31 @@ class GradientSet:
 class _RowBlock:
     """One embedding matrix's batch gradient over the rows the batch looks
     up, started at each row's L2 gradient once for every triplet that looks
-    it up.  ``looked_up[t]`` holds triplet t's rows, sorted."""
+    it up.  ``looked_up[t]`` holds triplet t's rows, sorted.  ``rows`` are
+    the batch forward's (``attr_rows`` / ``nbr_rows``), and ``at`` places
+    each triplet's u, i and j among them."""
 
-    def __init__(self, matrix: np.ndarray, lists: Rows, triplets: np.ndarray, reg: float) -> None:
+    def __init__(self, matrix: np.ndarray, rows: Rows, at: np.ndarray, reg: float) -> None:
         # distinct (triplet, row) keys, sorted: each triplet's rows, once each
         # (np.unique hashes the keys, which is far slower on a hub's rows)
-        taken, n = lists.take(triplets.ravel()), len(matrix)
+        taken, n, triplets = rows.take(at), len(matrix), len(at) // 3
         keys = np.sort(taken.owners() // 3 * n + taken.values)
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        self.looked_up = Rows(np.searchsorted(keys, np.arange(len(triplets) + 1) * n), keys % n)
+        self.looked_up = Rows(np.searchsorted(keys, np.arange(triplets + 1) * n), keys % n)
         self.ids, counts = np.unique(self.looked_up.values, return_counts=True)
         self.grad = matrix[self.ids]
         self.grad *= (2.0 * reg * counts)[:, None]  # zero when reg is 0
         self.cols = np.arange(matrix.shape[1])
 
-    def route(self, rows: np.ndarray, winners: np.ndarray, part: np.ndarray) -> None:
-        """Add the gradient of a pooled vector to the rows it pooled: ``rows``
-        and ``winners`` are one node's row ids and winners in a ForwardTrace.
-        The rows of one lookup are distinct, so a fancy-indexed += is exact."""
-        local = np.searchsorted(self.ids, rows)
-        if len(winners):  # max pooling: each column to its winning row
-            self.grad[local[winners], self.cols] += part
-        else:  # sum pooling broadcasts; an empty lookup pooled to zero
+    def route(self, rows: Rows, winners: np.ndarray | None, k: int, part: np.ndarray) -> None:
+        """Add the gradient of node k's pooled vector to the rows it pooled:
+        ``rows`` and ``winners`` are one half's in a ForwardTrace.  The rows
+        of one lookup are distinct, so a fancy-indexed += is exact."""
+        local = np.searchsorted(self.ids, rows[k])
+        if winners is None:  # sum pooling broadcasts; an empty lookup pooled to zero
             self.grad[local] += part
+        elif len(local):  # max pooling: each column to its winning row
+            self.grad[local[winners[k]], self.cols] += part
 
 
 @dataclass
@@ -177,37 +178,31 @@ def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
     gradient; W and b carry it once per triplet.
     """
     triplets = np.asarray(batch, dtype=np.int64)
-    attr = _RowBlock(params.P, g.attributes, triplets, reg)
-    nbr = _RowBlock(params.P_prime, g.neighbors, triplets, reg)
-    w_grad = np.zeros_like(params.W)
-    b_grad = np.zeros_like(params.b)
-    losses = []
+    # a node repeated in the batch (a hub, often) is pooled once; row
+    # at[3t], at[3t + 1], at[3t + 2] of the trace is the t-th (u, i, j)
+    nodes, at = np.unique(triplets.ravel(), return_inverse=True)
+    trace = forward(params, g, nodes, pooling)
+    attr = _RowBlock(params.P, trace.attr_rows, at, reg)
+    nbr = _RowBlock(params.P_prime, trace.nbr_rows, at, reg)
+    w_grad, b_grad, losses = np.zeros_like(params.W), np.zeros_like(params.b), []
     dense_l2 = float(np.sum(params.W ** 2)) + float(np.sum(params.b ** 2))
-    per_call = FORWARD_CHUNK // 3
-    for start in range(0, len(triplets), per_call):
-        # a node repeated in the chunk (a hub, often) is pooled once; row
-        # at[3t], at[3t + 1], at[3t + 2] of the trace is the t-th (u, i, j)
-        nodes, at = np.unique(triplets[start:start + per_call].ravel(), return_inverse=True)
-        trace = forward(params, g, nodes, pooling)
-        for t, rows in enumerate(at.reshape(-1, 3)):
-            h_u, h_i, h_j = trace.h_vec[rows]
-            margin = float(np.dot(h_u, h_i) - np.dot(h_u, h_j))
-            delta = sigmoid(margin) - 1.0  # d/d(margin) of -ln sigmoid(margin)
-            grads_h = (delta * (h_i - h_j), delta * h_u, -delta * h_u)
-            for k, grad_h in zip(rows, grads_h):
-                attr_winners, nbr_winners = trace.winners(k)
-                masked = np.where(trace.pre_activation[k] > 0.0, grad_h, 0.0)
-                w_grad += np.outer(masked, trace.f[k])
-                b_grad += masked
-                grad_f = params.W.T @ masked  # split at the concat seam below
-                attr.route(trace.attr_rows[k], attr_winners, grad_f[:params.d1])
-                nbr.route(trace.nbr_rows[k], nbr_winners, grad_f[params.d1:])
-            l2 = 0.0
-            if reg != 0.0:
-                attr_rows, nbr_rows = attr.looked_up[start + t], nbr.looked_up[start + t]
-                l2 = reg * (dense_l2 + float(np.sum(params.P[attr_rows] ** 2))
-                            + float(np.sum(params.P_prime[nbr_rows] ** 2)))
-            losses.append((_softplus(-margin), l2))
+    for t, rows in enumerate(at.reshape(-1, 3)):
+        h_u, h_i, h_j = trace.h_vec[rows]
+        margin = float(np.dot(h_u, h_i) - np.dot(h_u, h_j))
+        delta = sigmoid(margin) - 1.0  # d/d(margin) of -ln sigmoid(margin)
+        grads_h = (delta * (h_i - h_j), delta * h_u, -delta * h_u)
+        for k, grad_h in zip(rows, grads_h):
+            masked = np.where(trace.pre_activation[k] > 0.0, grad_h, 0.0)
+            w_grad += np.outer(masked, trace.f[k])
+            b_grad += masked
+            grad_f = params.W.T @ masked  # split at the concat seam below
+            attr.route(trace.attr_rows, trace.attr_winners, k, grad_f[:params.d1])
+            nbr.route(trace.nbr_rows, trace.nbr_winners, k, grad_f[params.d1:])
+        l2 = 0.0
+        if reg != 0.0:
+            l2 = reg * (dense_l2 + float(np.sum(params.P[attr.looked_up[t]] ** 2))
+                        + float(np.sum(params.P_prime[nbr.looked_up[t]] ** 2)))
+        losses.append((_softplus(-margin), l2))
 
     w_grad += 2.0 * reg * len(triplets) * params.W
     b_grad += 2.0 * reg * len(triplets) * params.b

@@ -73,8 +73,9 @@ def naive_triplet_loss(params, g, t, reg, pooling="max", real=float):
 def naive_forward(params, g, u, pooling="max"):
     """Node u's (f, attribute winners, neighbor winners, pre-activation) as
     the per-node forward pass computed them: ``matrix[rows]`` pooled
-    columnwise, the first row winning a max-pool tie, then ``W @ f + b``.
-    A half without rows pools to zero and, like sum pooling, has no winners."""
+    columnwise, the first row winning a max-pool tie and a sum adding the
+    rows one after another in order, then ``W @ f + b``.  A half without rows
+    pools to zero and, like sum pooling, has no winners."""
     halves, winners = [], []
     for matrix, rows in ((params.P, g.attributes[u]), (params.P_prime, g.neighbors[u])):
         sub = matrix[rows]
@@ -85,10 +86,103 @@ def naive_forward(params, g, u, pooling="max"):
             won = np.argmax(sub, axis=0)
             halves.append(sub[won, np.arange(matrix.shape[1])])
         else:
-            halves.append(sub.sum(axis=0))
+            # not sub.sum(axis=0): with one column numpy sums pairwise
+            total = sub[0].copy()
+            for row in sub[1:]:
+                total += row
+            halves.append(total)
         winners.append(won)
     f = np.concatenate(halves)
     return f, winners[0], winners[1], params.W @ f + params.b
+
+
+def similarity(h_u, h_i):
+    """The dot product of two hidden vectors of equal length."""
+    if h_u.shape != h_i.shape:
+        raise ValueError("similarity needs vectors of equal length")
+    return float(np.dot(h_u, h_i))
+
+
+def bpr_probability(s_ui, s_uj):
+    """Probability that the ranking s_ui > s_uj is preserved: the logistic
+    sigmoid of the margin, with exp() only of non-positive arguments."""
+    x = s_ui - s_uj
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def per_chunk_batch_gradients(params, g, batch, reg=0.0, pooling="max", chunk=16):
+    """Exact batch gradients the way the trainer once computed them, one
+    forward per ``chunk`` triplets: each chunk's distinct nodes have their
+    rows gathered end to end and pooled with one ``reduceat`` per half; each
+    lookup finds its max-pool winners with its own ``argmax`` and is
+    backpropagated on its own.  A row starts at its L2 gradient once for
+    every triplet that looks it up; W and b carry it once per triplet.
+
+    Returns the dense (P, P_prime, W, b) gradients and each triplet's
+    (ranking loss, L2 term) in batch order."""
+    triplets = np.asarray(batch, dtype=np.int64)
+    matrices = (params.P, params.P_prime)
+    lists = (g.attributes, g.neighbors)
+    looked_up = [[np.unique(np.concatenate([rows[n] for n in t])) for t in triplets]
+                 for rows in lists]
+    grads = []
+    for matrix, per_triplet in zip(matrices, looked_up):
+        counts = np.bincount(np.concatenate(per_triplet), minlength=len(matrix))
+        grads.append(matrix * (2.0 * reg * counts)[:, None])
+    dW, db = np.zeros_like(params.W), np.zeros_like(params.b)
+    dense_l2 = float(np.sum(params.W ** 2)) + float(np.sum(params.b ** 2))
+    losses = []
+    reduce = np.maximum if pooling == "max" else np.add
+    for start in range(0, len(triplets), chunk):
+        nodes, at = np.unique(triplets[start:start + chunk].ravel(), return_inverse=True)
+        node_rows, pooled = [], []
+        for matrix, rows in zip(matrices, lists):
+            per_node = [rows[u] for u in nodes]
+            flat = np.concatenate(per_node).astype(np.int64)
+            starts = np.cumsum([0] + [len(r) for r in per_node])[:-1]
+            filled = np.array([len(r) > 0 for r in per_node])
+            half = np.zeros((len(nodes), matrix.shape[1]))
+            if filled.any():
+                half[filled] = reduce.reduceat(matrix[flat], starts[filled], axis=0)
+            node_rows.append(per_node)
+            pooled.append(half)
+        f = np.concatenate(pooled, axis=1)
+        pre = f @ params.W.T + params.b
+        hidden = np.maximum(pre, 0.0)
+        for t, rows in enumerate(at.reshape(-1, 3)):
+            h_u, h_i, h_j = hidden[rows]
+            margin = float(np.dot(h_u, h_i) - np.dot(h_u, h_j))
+            delta = bpr_probability(margin, 0.0) - 1.0
+            for k, grad_h in zip(rows, (delta * (h_i - h_j), delta * h_u, -delta * h_u)):
+                masked = np.where(pre[k] > 0.0, grad_h, 0.0)
+                dW += np.outer(masked, f[k])
+                db += masked
+                grad_f = params.W.T @ masked
+                for matrix, grad, per_node, part in zip(
+                        matrices, grads, node_rows, np.split(grad_f, [params.d1])):
+                    ids = per_node[k]
+                    if len(ids) == 0:
+                        continue
+                    if pooling == "max":
+                        won = np.argmax(matrix[ids], axis=0)
+                        grad[ids[won], np.arange(len(part))] += part
+                    else:
+                        grad[ids] += part
+            l2 = 0.0
+            if reg != 0.0:
+                t_all = start + t
+                l2 = reg * (dense_l2 + float(np.sum(params.P[looked_up[0][t_all]] ** 2))
+                            + float(np.sum(params.P_prime[looked_up[1][t_all]] ** 2)))
+            # -ln sigmoid(margin), with exp() only of non-positive arguments
+            ranking = (math.log1p(math.exp(-margin)) if margin >= 0.0
+                       else -margin + math.log1p(math.exp(margin)))
+            losses.append((ranking, l2))
+    dW += 2.0 * reg * len(triplets) * params.W
+    db += 2.0 * reg * len(triplets) * params.b
+    return (grads[0], grads[1], dW, db), losses
 
 
 def finite_difference_gradients(loss_fn, params, eps=1e-6):

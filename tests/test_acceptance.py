@@ -22,7 +22,6 @@ from neuralbrane.evaluate import (
 )
 from neuralbrane.graph import load_graph
 from neuralbrane.model import (
-    bpr_probability,
     embed_all,
     forward,
     init_parameters,
@@ -33,6 +32,7 @@ from neuralbrane.trainer import TrainConfig, train, triplet_gradients, triplet_l
 
 from . import criterion5
 from .oracles import (
+    bpr_probability,
     finite_difference_gradients,
     fit_loglog_slope,
     naive_macro_f1,
@@ -115,8 +115,7 @@ class TestCriterion1GradientExactness:
             reg = 0.01 if instances % 2 else 0.0
             worst = max(worst, gradient_check(params, g, t, reg, pooling))
             trace = forward(params, g, [t.u], pooling)
-            attr_winners = trace.winners(0)[0]
-            if pooling == "max" and attr_winners.size and attr_winners.max() > 0:
+            if pooling == "max" and trace.attr_winners[0].max() > 0:
                 routed_away_from_first += 1
             if np.any(trace.pre_activation[0] <= 0):
                 inactive_units_seen += 1
@@ -148,7 +147,7 @@ class TestCriterion1GradientExactness:
             params.P[hi] = params.P[lo]  # exact tie on every coordinate
             grads = triplet_gradients(params, g, t, reg=0.0, pooling="max")
             trace = forward(params, g, [t.u], "max")
-            winning_rows = trace.attr_rows[0][trace.winners(0)[0]]
+            winning_rows = trace.attr_rows[0][trace.attr_winners[0]]
             tied_dims = np.isin(winning_rows, [lo, hi])
             assert not np.any(winning_rows[tied_dims] == hi), \
                 "a tie routed to the higher row index"

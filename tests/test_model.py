@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neuralbrane import model
 from neuralbrane.graph import Rows, from_edges, load_graph
 from neuralbrane.model import (
     INIT_STDDEV,
-    bpr_probability,
     FORWARD_CHUNK,
     embed_all,
     forward,
     init_parameters,
     sigmoid,
-    similarity,
 )
 from neuralbrane.synthetic import planted_partition
 
-from .oracles import naive_forward
+from .oracles import bpr_probability, naive_forward, similarity
 
 
 class TestInit:
@@ -64,36 +64,36 @@ class TestEncoding:
         params.P[5] = [4.0, 2.0]
         trace = forward(params, toy_graph, [1])  # A(b) = {1, 5}
         assert trace.f[0, :2].tolist() == [4.0, 3.0]
-        assert trace.winners(0)[0].tolist() == [1, 0]
+        assert trace.attr_winners[0].tolist() == [1, 0]
 
     def test_single_attribute_is_identity(self, toy_graph):
         params = init_parameters(5, 7, 4, 2, 3, seed=1)
         trace = forward(params, toy_graph, [4])  # A(e) = {4}
         np.testing.assert_array_equal(trace.f[0, :4], params.P[4])
-        assert trace.winners(0)[0].tolist() == [0, 0, 0, 0]
+        assert trace.attr_winners[0].tolist() == [0, 0, 0, 0]
 
     def test_toy_node_b_neighbors(self, toy_graph):
         params = init_parameters(5, 7, 2, 3, 3, seed=2)
         trace = forward(params, toy_graph, [1])  # N(b) = {0, 2, 3}
         expected = params.P_prime[[0, 2, 3]].max(axis=0)
         np.testing.assert_array_equal(trace.f[0, 2:], expected)
-        assert all(0 <= w < 3 for w in trace.winners(0)[1])
+        assert all(0 <= w < 3 for w in trace.nbr_winners[0])
 
     def test_isolated_node_pools_to_zero(self, tmp_path):
         g = isolated_node_graph(tmp_path)
         params = init_parameters(3, 2, 2, 2, 3, seed=0)
         trace = forward(params, g, [2])
-        attr_winners, nbr_winners = trace.winners(0)
+        # a half without rows has nothing to route to: its winners are zeros
         assert trace.f[0, 2:].tolist() == [0.0, 0.0]
-        assert nbr_winners.size == 0
+        assert trace.nbr_rows[0].size == 0 and not trace.nbr_winners[0].any()
         assert trace.f[0, :2].tolist() == [0.0, 0.0]
-        assert attr_winners.size == 0
+        assert trace.attr_rows[0].size == 0 and not trace.attr_winners[0].any()
 
     def test_sum_pooling(self, toy_graph):
         params = init_parameters(5, 7, 3, 3, 4, seed=5)
         trace = forward(params, toy_graph, [1], pooling="sum")
         np.testing.assert_allclose(trace.f[0, :3], params.P[[1, 5]].sum(axis=0))
-        assert trace.winners(0)[0].size == 0
+        assert trace.attr_winners is None and trace.nbr_winners is None
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -123,6 +123,40 @@ class TestEncoding:
             assert np.all(grown >= base)
 
 
+def hub_star():
+    """A 5001-node star: node 0 neighbors nodes 1 to 5000, and node u
+    carries attributes 0 to u % 37 - 1."""
+    leaves = np.arange(1, 5001)
+    per_node = np.arange(5001) % 37
+    attr_node = np.repeat(np.arange(5001), per_node)
+    attr_id = np.arange(len(attr_node)) - np.repeat(np.cumsum(per_node) - per_node, per_node)
+    return from_edges(5001, 37, np.zeros(5000, dtype=np.int64), leaves, np.ones(5000),
+                      attr_node, attr_id)
+
+
+class _Recording(np.ndarray):
+    """An embedding matrix that notes the shape of every 2-D index array
+    gathered from it."""
+
+    shapes: list
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray) and key.ndim == 2 and key.dtype.kind in "iu":
+            _Recording.shapes.append(key.shape)
+        return super().__getitem__(key)
+
+
+def gathered_index_shapes(matrix, rows, pooling):
+    """(rows per node, nodes) of each sub-block ``_pool`` gathers from
+    ``matrix`` for ``rows``; checks that it pools as it does unobserved."""
+    _Recording.shapes = []
+    seen, plain = (np.zeros((len(rows), matrix.shape[1])) for _ in range(2))
+    model._pool(matrix.view(_Recording), rows, pooling, seen, backprop=True)
+    model._pool(matrix, rows, pooling, plain, backprop=True)
+    assert np.array_equal(seen, plain)
+    return _Recording.shapes
+
+
 def random_graph(rng):
     """Up to 12 nodes with random edges and attribute sets; isolated nodes
     and nodes without attributes are common."""
@@ -135,29 +169,35 @@ def random_graph(rng):
 
 
 def assert_matches_oracle(params, g, nodes, pooling, trace):
-    """``trace`` is ``forward(params, g, nodes, pooling)``: f is the per-node
-    oracle's (``assert_pooled``), the winners equal its bit for bit, and h is
-    within 1e-12 relative."""
+    """``trace`` is ``forward(params, g, nodes, pooling)``: f and the winners
+    are the per-node oracle's bit for bit, and h is within 1e-12 relative."""
     for r, u in enumerate(nodes):
         f, want_attr, want_nbr, pre = naive_forward(params, g, u, pooling)
-        assert_pooled(params, g, u, trace.f[r], f, pooling)
-        attr_winners, nbr_winners = trace.winners(r)
-        assert np.array_equal(attr_winners, want_attr)
-        assert np.array_equal(nbr_winners, want_nbr)
+        assert_pooled(trace.f[r], f, pooling)
+        assert_winners(trace.attr_winners, r, trace.attr_rows[r], want_attr)
+        assert_winners(trace.nbr_winners, r, trace.nbr_rows[r], want_nbr)
         assert_close_rows(trace.h_vec[r], pre)
 
 
-def assert_pooled(params, g, u, got, want, pooling):
-    """A max-pool picks one row per column, so ``got`` is ``want`` bit for bit.
-    A sum may round differently, because ``reduceat`` adds a node's rows
-    pairwise where ``sum(axis=0)`` adds them one after another; it is held
-    to 1e-13 of the summed magnitudes."""
-    if pooling == "max":
-        assert np.array_equal(got, want)
-        return
-    magnitude = np.concatenate([np.abs(params.P[g.attributes[u]]).sum(axis=0),
-                                np.abs(params.P_prime[g.neighbors[u]]).sum(axis=0)])
-    assert np.all(np.abs(got - want) <= 1e-13 * magnitude)
+def assert_winners(winners, r, rows, want):
+    """Row r of a trace's winner array against the oracle's winners ``want``
+    for a node whose row ids are ``rows``: no array for sum pooling, zeros
+    for a half without rows, else ``want`` exactly."""
+    if winners is None or len(rows) == 0:
+        assert want.size == 0
+        assert winners is None or not winners[r].any()
+    else:
+        assert np.array_equal(winners[r], want)
+
+
+def assert_pooled(got, want, pooling):
+    """A max-pool picks one row per column, and the kernel and the oracle
+    both add a sum's rows one after another in order, so ``got`` is ``want``
+    bit for bit.  The one exception is the sign of a max over 0.0 and -0.0,
+    which ``np.maximum`` leaves open."""
+    assert np.array_equal(got, want)
+    if pooling == "sum":
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def assert_close_rows(h_vec, pre):
@@ -237,21 +277,108 @@ class TestForward:
 
     @pytest.mark.parametrize("pooling", ["max", "sum"])
     def test_hub_rows_are_gathered_once(self, pooling):
-        # a star whose hub has 500 neighbors: the chunk's gathered neighbor
-        # rows are its 500 + 47 rows, not 48 rows padded to the hub's length
-        leaves = np.arange(1, 501)
-        g = from_edges(501, 1, np.zeros(500, dtype=np.int64), leaves, np.ones(500),
-                       leaves, np.zeros(500, dtype=np.int64))
-        params = init_parameters(501, 1, 2, 3, 4, seed=5)
-        nodes = np.arange(FORWARD_CHUNK)
-        trace = forward(params, g, nodes, pooling)
-        assert trace.nbr_block.shape == (500 + FORWARD_CHUNK - 1, 3)
-        assert trace.attr_block.shape == (FORWARD_CHUNK - 1, 2)
-        assert_matches_oracle(params, g, nodes, pooling, trace)
+        # a 5001-node star whose hub has 5000 neighbors; node u also carries
+        # u % 37 attributes, so the attribute half fills buckets 0 to 6.
+        # Padding all 5001 neighbor rows to the hub's length would gather
+        # 25 million rows (200 MB at width 1); each bucket gathers at most
+        # twice its real rows, and the hub's only its own
+        star, d1, d2 = hub_star(), 3, 4
+        params = init_parameters(star.node_count, star.attribute_count, d1, d2, 5, seed=5)
+        nodes = np.arange(star.node_count)
+        for matrix, lists in ((params.P, star.attributes), (params.P_prime, star.neighbors)):
+            lengths = np.diff(lists.indptr)
+            real = np.bincount(np.frexp(lengths[lengths > 0] - 1)[1], lengths[lengths > 0])
+            gathered = np.zeros_like(real)
+            for depth, nodes_gathered in gathered_index_shapes(matrix, lists.take(nodes), pooling):
+                gathered[np.frexp(depth - 1)[1]] += depth * nodes_gathered
+            assert np.all(real <= gathered) and np.all(gathered <= 2 * real)
+        assert gathered[-1] == real[-1] == 5000  # the hub, alone in its bucket
+        trace = forward(params, star, nodes, pooling)
+        assert_matches_oracle(params, star, nodes, pooling, trace)
+
+    @pytest.mark.parametrize("pooling", ["max", "sum"])
+    def test_pool_memory_is_bounded_by_the_sub_block(self, pooling):
+        # the largest temporary of a pool is one sub-block of _POOL_ROWS
+        # rows (or the hub's 5000 alone), a few times over for its max and
+        # winners; the rest grows with the nodes, not with the longest row
+        star, width = hub_star(), 16
+        params = init_parameters(star.node_count, star.attribute_count, width, width, 8,
+                                 seed=6)
+        sub_block = 8 * width * max(model._POOL_ROWS, 5000)
+        per_node = 8 * (6 * width + 3 * 37)
+        bound = 4 * sub_block + star.node_count * per_node
+        for run in (lambda: forward(params, star, np.arange(star.node_count), pooling),
+                    lambda: embed_all(params, star, pooling=pooling)):
+            run()  # warm numpy's caches before measuring
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (peak, bound)
 
     def test_unknown_pooling_rejected(self, toy_graph):
         with pytest.raises(ValueError, match="pooling"):
             forward(init_parameters(5, 7, 2, 2, 3), toy_graph, [0], pooling="mean")
+
+
+# one row length on each side of every bucket edge of the pooling kernel
+EDGE_LENGTHS = (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 33)
+
+
+def edge_length_graph(rng, edges):
+    """Two nodes per length of EDGE_LENGTHS, each carrying that many distinct
+    attributes out of 40; with ``edges`` random links (one node links to all
+    others), else none, so every neighbor half is empty."""
+    lengths = np.repeat(EDGE_LENGTHS, 2)
+    n = len(lengths)
+    attr_node = np.repeat(np.arange(n), lengths)
+    attr_id = np.concatenate([rng.choice(40, size=k, replace=False) for k in lengths])
+    pairs = np.empty((0, 2), dtype=np.int64)
+    if edges:
+        pairs = np.argwhere(np.triu(rng.random((n, n)) < 0.4, 1))
+        pairs = np.unique(np.vstack([pairs, [(0, v) for v in range(1, n)]]), axis=0)
+    return from_edges(n, 40, pairs[:, 0], pairs[:, 1], np.ones(len(pairs)), attr_node, attr_id)
+
+
+class TestPoolKernel:
+    @pytest.mark.parametrize("pooling", ["max", "sum"])
+    @pytest.mark.parametrize("budget", [16, model._POOL_ROWS])
+    def test_bucket_edges_match_the_oracle_bit_for_bit(self, pooling, budget, monkeypatch):
+        # rows of every length around a bucket edge, in shuffled node order
+        # with repeats, with and without neighbors; a budget of 16 rows splits
+        # the buckets into sub-blocks and leaves the 17- and 33-row nodes
+        # alone in theirs.  Half the instances round the parameters to one
+        # decimal and copy one row into another in some columns, so tied
+        # columns are common
+        monkeypatch.setattr(model, "_POOL_ROWS", budget)
+        rng = np.random.default_rng(16)
+        ties = 0
+        for instance in range(12):
+            g = edge_length_graph(rng, edges=instance % 3 != 0)
+            params = init_parameters(g.node_count, 40, int(rng.integers(1, 4)),
+                                     int(rng.integers(1, 4)), 3, seed=instance)
+            if instance % 2:
+                params.P, params.P_prime = params.P.round(1), params.P_prime.round(1)
+                params.P[1::2, ::2] = params.P[0::2, ::2]
+            nodes = rng.permutation(np.repeat(np.arange(g.node_count), 2))
+            trace = forward(params, g, nodes, pooling)
+            assert_matches_oracle(params, g, nodes, pooling, trace)
+            table = embed_all(params, g, layer="f", pooling=pooling, nodes=nodes).vectors
+            assert np.array_equal(table, trace.f)
+            for u in range(g.node_count):
+                block = params.P[g.attributes[u]]
+                if len(block):
+                    ties += int(np.sum((block == block.max(axis=0)).sum(axis=0) >= 2))
+        assert ties >= 20
+
+    @pytest.mark.parametrize("pooling", ["max", "sum"])
+    def test_empty_input(self, pooling, toy_graph):
+        params = init_parameters(5, 7, 2, 3, 4, seed=0)
+        trace = forward(params, toy_graph, np.empty(0, dtype=np.int64), pooling)
+        assert trace.f.shape == (0, 5) and trace.h_vec.shape == (0, 4)
+        assert embed_all(params, toy_graph, pooling=pooling, nodes=[]).vectors.shape == (0, 4)
 
 
 class TestSimilarityAndRanking:
@@ -309,7 +436,7 @@ class TestEmbedAll:
         h_table = embed_all(params, g, pooling=pooling).vectors
         for u in range(g.node_count):
             f, _, _, pre = naive_forward(params, g, u, pooling)
-            assert_pooled(params, g, u, f_table[u], f, pooling)
+            assert_pooled(f_table[u], f, pooling)
             assert_close_rows(h_table[u], pre)
 
     def test_identical_context_identical_rows(self, tmp_path):

@@ -20,7 +20,12 @@ from neuralbrane.trainer import (
     triplet_loss,
 )
 
-from .oracles import finite_difference_gradients, naive_triplet_loss, relative_error
+from .oracles import (
+    finite_difference_gradients,
+    naive_triplet_loss,
+    per_chunk_batch_gradients,
+    relative_error,
+)
 
 
 def random_instance(seed, pooling="max"):
@@ -159,8 +164,7 @@ class TestTripletGradients:
         params.P[1] = params.P[0]  # exact tie on every coordinate
         t = Triplet(1, 0, 3)
         grads = triplet_gradients(params, g, t, reg=0.0)
-        attr_winners, _ = forward(params, g, [1]).winners(0)
-        assert attr_winners.tolist() == [0, 0, 0]
+        assert forward(params, g, [1]).attr_winners[0].tolist() == [0, 0, 0]
         assert 0 in grads.attr_rows
         # row 1 is looked up only by node 1 and loses every tie
         if 1 in grads.attr_rows:
@@ -212,6 +216,35 @@ class TestBatchGradients:
             assert np.max(np.bincount(np.concatenate(looked_up))) > 1
             assert [bpr + l2 for bpr, l2 in losses] == [
                 triplet_loss(params, g, t, reg=reg, pooling=pooling) for t in batch]
+
+    @pytest.mark.parametrize("pooling", ["max", "sum"])
+    @pytest.mark.parametrize("reg", [0.0, 0.05])
+    def test_matches_per_chunk_reference(self, pooling, reg):
+        # one forward per batch against the per-chunk reference, on batches
+        # of 60 triplets (four reference chunks) over parameters rounded to
+        # one decimal, so max-pool ties are common: every gradient within
+        # 1e-12 relative, and with reg 0 the same entries routed to
+        ties = 0
+        for seed in range(6):
+            g = gnm_random_graph(nodes=30, edges=70, attributes=8, attrs_per_node=4,
+                                 seed=seed)
+            params = init_parameters(30, 8, 3, 4, 6, seed=seed)
+            params.P, params.P_prime = params.P.round(1), params.P_prime.round(1)
+            batch = TripletSampler(g, seed=seed).sample_batch(60)
+            grads, losses = batch_gradients(params, g, batch, reg, pooling)
+            want, want_losses = per_chunk_batch_gradients(params, g, batch, reg, pooling)
+            for got, expected in zip(dense_gradients(params, grads), want):
+                scale = max(float(np.max(np.abs(expected))), 1e-300)
+                assert float(np.max(np.abs(got - expected))) / scale <= 1e-12
+                if reg == 0.0:
+                    assert np.array_equal(got != 0.0, expected != 0.0)
+            for (bpr, l2), (want_bpr, want_l2) in zip(losses, want_losses):
+                assert relative_error(bpr, want_bpr, floor=1e-300) <= 1e-12
+                assert relative_error(l2, want_l2, floor=1e-300) <= 1e-12
+            for u in np.unique(batch):
+                block = params.P[g.attributes[u]]
+                ties += int(np.sum((block == block.max(axis=0)).sum(axis=0) >= 2))
+        assert ties >= 20
 
     @pytest.mark.parametrize("pooling", ["max", "sum"])
     def test_update_moves_only_looked_up_rows(self, pooling):
