@@ -3,16 +3,16 @@
 
 Usage:
     python scripts/bench_train.py PARENT_TREE CHANGE_TREE [--rounds N] [--seed S]
-                                  [--epochs E] [--out BENCH_train.json]
+                                  [--out BENCH_train.json]
 
 Each tree is a checkout holding ``src/neuralbrane``.  The inputs are the
 benchmark's own ``citeseer-pipeline`` files (``perfbench/inputs.py``,
 imported read-only) at seed S, and every run is one ``trainer.train`` call in
 a new process with one BLAS thread, at the benchmark's settings: d1 = d2 =
 75, h = 150, learning rate 0.5, L2 coefficient 5e-5, batch size 100, max
-pooling, E epochs with no early stop.  The trees take turns, and the tree
-that goes first alternates from round to round, so drift of the host falls
-on both alike.
+pooling, one epoch (``EPOCHS``) with no early stop.  The trees take turns,
+and the tree that goes first alternates from round to round, so drift of the
+host falls on both alike.
 
 The phases are read from the trainer's own functions, wrapped in the child:
 
@@ -48,6 +48,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD = "citeseer-pipeline"
+EPOCHS = 1
 PHASES = ("train_s", "sample_s", "forward_s", "row_blocks_s", "route_s", "backward_s",
           "update_s", "peak_rss_mb")
 
@@ -62,7 +63,7 @@ def _peak_rss_mb() -> float:
     raise RuntimeError("no VmHWM in /proc/self/status")
 
 
-def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int, epochs: int) -> dict:
+def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> dict:
     """Train once with ``tree``'s package; its phase times and a digest."""
     sys.path.insert(0, str(tree / "src"))
     from neuralbrane import graph, sampler, trainer
@@ -87,7 +88,7 @@ def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int, epoch
 
     g = graph.load_graph(edges, attrs, node_count=nodes, attribute_count=attributes)
     cfg = trainer.TrainConfig(d1=75, d2=75, hidden=150, learning_rate=0.5, reg=0.00005,
-                              batch_size=100, epochs=epochs, seed=1, pooling="max",
+                              batch_size=100, epochs=EPOCHS, seed=1, pooling="max",
                               convergence_tol=0.0)
     started = time.perf_counter()
     params, _ = trainer.train(g, cfg)
@@ -109,12 +110,12 @@ def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int, epoch
     }
 
 
-def run_child(tree: Path, files: dict, epochs: int) -> dict:
+def run_child(tree: Path, files: dict) -> dict:
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
                NEURAL_BRANE_LOG="warn")
     done = subprocess.run(
         [sys.executable, __file__, "--child", str(tree), files["edges"], files["attrs"],
-         str(files["nodes"]), str(files["attributes"]), str(epochs)],
+         str(files["nodes"]), str(files["attributes"])],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -131,7 +132,6 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--epochs", type=int, default=1)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_train.json")
     args = parser.parse_args(argv)
 
@@ -143,13 +143,13 @@ def main(argv=None) -> int:
     spec = WORKLOADS[WORKLOAD].specs["full"]
     report = {
         "command": "python scripts/bench_train.py PARENT CHANGE "
-                   f"--rounds {args.rounds} --seed {args.seed} --epochs {args.epochs}",
+                   f"--rounds {args.rounds} --seed {args.seed}",
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "cpus": os.cpu_count(), "blas_threads": 1},
         "inputs": {"workload": WORKLOAD, "seed": args.seed, "nodes": spec.nodes,
                    "edges": spec.edges, "attributes": spec.attrs,
-                   "attributes_per_node": spec.attrs_per_node, "epochs": args.epochs,
-                   "triplets": args.epochs * spec.edges},
+                   "attributes_per_node": spec.attrs_per_node, "epochs": EPOCHS,
+                   "triplets": EPOCHS * spec.edges},
         "rounds": args.rounds,
     }
     with tempfile.TemporaryDirectory() as scratch:
@@ -161,7 +161,7 @@ def main(argv=None) -> int:
         for r in range(args.rounds):
             order = list(trees) if r % 2 == 0 else list(trees)[::-1]
             for t in order:
-                runs[t].append(run_child(trees[t], files, args.epochs))
+                runs[t].append(run_child(trees[t], files))
             print(f"round {r}: " + "  ".join(
                 f"{t} train {runs[t][-1]['train_s']:.3f} s" for t in trees), flush=True)
     for t in trees:
@@ -178,8 +178,7 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
-        tree, edges, attrs, nodes, attributes, epochs = sys.argv[2:]
-        print(json.dumps(child(Path(tree), edges, attrs, int(nodes), int(attributes),
-                               int(epochs))))
+        tree, edges, attrs, nodes, attributes = sys.argv[2:]
+        print(json.dumps(child(Path(tree), edges, attrs, int(nodes), int(attributes))))
     else:
         sys.exit(main())

@@ -130,8 +130,9 @@ def _pool(matrix: np.ndarray, rows: Rows, pooling: str, out: np.ndarray,
     (L x nodes) index, L its longest row, then gathered and reduced over L in
     sub-blocks of about ``_POOL_ROWS`` rows: a node pads at most 2x, inside
     its own bucket.  Max pooling pads a row with its own last id, which moves
-    neither the max nor the lowest winner.  Sum pooling adds a node's rows in
-    order, padded with -0.0, so every sum is bit for bit the in-order one.
+    neither the max nor the lowest winner.  Sum pooling pads with -0.0 and
+    adds a node's rows in order: numpy reduces an outer axis row by row, and
+    a lone column, which it would sum pairwise, is accumulated.
     """
     if pooling not in POOLING_MODES:
         raise ValueError(f"unknown pooling mode {pooling!r}")
@@ -139,7 +140,7 @@ def _pool(matrix: np.ndarray, rows: Rows, pooling: str, out: np.ndarray,
     won = np.zeros(out.shape, dtype=np.intp) if backprop and pooling == "max" else None
     filled = np.flatnonzero(lengths)
     bucket = np.frexp(lengths[filled] - 1)[1]  # ceil(log2 length)
-    for b in np.unique(bucket):
+    for b in np.flatnonzero(np.bincount(bucket)):  # np.unique imports numpy.ma
         members = filled[bucket == b]
         length = lengths[members]
         depth = int(length.max())
@@ -155,9 +156,8 @@ def _pool(matrix: np.ndarray, rows: Rows, pooling: str, out: np.ndarray,
                     won[part] = block.argmax(axis=0)
             else:
                 block[slots >= length[start:start + step]] = -0.0
-                for row in block[1:]:
-                    block[0] += row
-                out[part] = block[0]
+                out[part] = (np.add.accumulate(block, axis=0)[-1] if block[0].size == 1
+                             else np.add.reduce(block, axis=0, initial=-0.0))
     return won
 
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -372,6 +374,24 @@ class TestPoolKernel:
                 if len(block):
                     ties += int(np.sum((block == block.max(axis=0)).sum(axis=0) >= 2))
         assert ties >= 20
+
+    def test_pooling_loads_no_numpy_ma(self):
+        # np.unique imports numpy.ma, over 1 MB of modules that a training
+        # or embedding process otherwise never loads, on its first call
+        code = "\n".join([
+            "import sys",
+            "from neuralbrane.model import embed_all, forward, init_parameters",
+            "from neuralbrane.synthetic import planted_partition",
+            "g = planted_partition(nodes=40, attributes=12, seed=1)",
+            "params = init_parameters(40, 12, 3, 3, 4, seed=2)",
+            "for pooling in ('max', 'sum'):",
+            "    forward(params, g, range(40), pooling)",
+            "    embed_all(params, g, pooling=pooling)",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert done.stdout.strip() == "False"
 
     @pytest.mark.parametrize("pooling", ["max", "sum"])
     def test_empty_input(self, pooling, toy_graph):
