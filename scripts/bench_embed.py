@@ -40,6 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
+from benchlib import summary
+
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD = "large-embed"
 MEASURES = ("wall_s", "cpu_s", "peak_rss_mb")
@@ -75,12 +77,6 @@ def run_embed(tree: Path, files: dict, out: Path, cached: bool) -> dict:
     measured["digest"] = hashlib.sha256(out.read_bytes()).hexdigest()
     out.unlink()
     return measured
-
-
-def summary(values: list) -> dict:
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
-            "q3": round(float(q3), 4)}
 
 
 def main(argv=None) -> int:

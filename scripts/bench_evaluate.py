@@ -32,6 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
+from benchlib import summary
+
 ROOT = Path(__file__).resolve().parents[1]
 LAUNCH = ROOT / "perfbench" / "launch.py"
 TASKS = ("classify", "cluster")
@@ -52,12 +54,6 @@ def run_cli(tree: Path, argv: list, scratch: Path) -> dict:
         raise SystemExit(f"{tree}: {' '.join(argv[:1])} exited {record['exit']}: "
                          + (scratch / "stderr.txt").read_text(encoding="utf-8")[-2000:])
     return record
-
-
-def summary(values: list) -> dict:
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
-            "q3": round(float(q3), 4)}
 
 
 def main(argv=None) -> int:

@@ -9,15 +9,18 @@ Each tree is a checkout holding ``src/neuralbrane``.  The inputs are the
 benchmark's own generated files (``perfbench/inputs.py``, imported read-only)
 for the ``large-embed`` and ``citeseer-pipeline`` graph shapes, at seed S,
 loaded with their declared node and attribute counts as the CLI is given
-them.  Every measurement is one ``load_graph`` call in a new process; the
+them.  A third case, ``large-embed-weighted``, is a copy of the
+``large-embed`` files with a ``#`` line first in each and `` 1.0`` after
+every edge line: the benchmark's files are plain and go the ``np.fromstring``
+reader, this copy the line-by-line one.  Every measurement is one ``load_graph`` call in a new process; the
 trees take turns, and the tree that goes first alternates from round to
 round, so drift of the host falls on both alike.
 
 The phases are read from the module's own functions, wrapped in the child:
 
-* ``read_s``: the block readers ``_read_edges`` and ``_read_attributes``,
-  which split lines and convert tokens to arrays (absent in a tree whose
-  parser converts token by token: there it is part of ``parse_s``);
+* ``read_s``: the readers ``_read_edges`` and ``_read_attributes``, which
+  convert a file to arrays (absent in a tree whose parser converts token by
+  token: there it is part of ``parse_s``);
 * ``checks_s``: the rest of ``_parse``, the whole-array checks and the edge
   deduplication (``parse_s`` minus ``read_s``);
 * ``parse_s``: all of ``_parse``;
@@ -42,19 +45,12 @@ from pathlib import Path
 
 import numpy as np
 
+from benchlib import peak_rss_mb, summary
+
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD_NAMES = ("large-embed", "citeseer-pipeline")
+WEIGHTED = "large-embed-weighted"
 PHASES = ("load_s", "parse_s", "read_s", "checks_s", "from_edges_s", "peak_rss_mb")
-
-
-def _peak_rss_mb() -> float:
-    """This process's peak RSS.  ``ru_maxrss`` would also count the peak of
-    the process that started it, which Linux carries into the child."""
-    with open("/proc/self/status", encoding="ascii") as fh:
-        for line in fh:
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024.0
-    raise RuntimeError("no VmHWM in /proc/self/status")
 
 
 def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> dict:
@@ -95,7 +91,7 @@ def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> di
         "read_s": spent["read"] if has_readers else None,
         "checks_s": spent["_parse"] - spent["read"] if has_readers else None,
         "from_edges_s": spent["from_edges"],
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": peak_rss_mb(),
         "digest": digest.hexdigest(),
     }
 
@@ -109,12 +105,18 @@ def run_child(tree: Path, files: dict) -> dict:
     return json.loads(done.stdout)
 
 
-def summary(values: list) -> dict | None:
-    if values[0] is None:
-        return None
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
-            "q3": round(float(q3), 4)}
+def weighted_copy(files: dict, directory: Path) -> dict:
+    """``files`` with a ``#`` line first in each and `` 1.0`` after every
+    edge line, written to ``directory``."""
+    directory.mkdir()
+    edges = Path(files["edges"]).read_text(encoding="ascii").splitlines()
+    (directory / "edges.txt").write_text(
+        "# weight 1.0 on every edge\n" + "".join(f"{line} 1.0\n" for line in edges),
+        encoding="ascii")
+    (directory / "attrs.txt").write_text(
+        "# node attributes\n" + Path(files["attrs"]).read_text(encoding="ascii"),
+        encoding="ascii")
+    return {**files, "edges": str(directory / "edges.txt"), "attrs": str(directory / "attrs.txt")}
 
 
 def main(argv=None) -> int:
@@ -140,12 +142,21 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
+        cases = {}
         for name in WORKLOAD_NAMES:
             spec = WORKLOADS[name].specs["full"]
             directory = Path(scratch) / name
             inputs.generate(spec, args.seed, directory)
             files = {"edges": str(directory / "edges.txt"), "attrs": str(directory / "attrs.txt"),
                      "nodes": spec.nodes, "attributes": spec.attrs}
+            shape = {"seed": args.seed, "nodes": spec.nodes, "edges": spec.edges,
+                     "attributes": spec.attrs, "attributes_per_node": spec.attrs_per_node}
+            cases[name] = files, shape
+        files, shape = cases["large-embed"]
+        cases[WEIGHTED] = (weighted_copy(files, Path(scratch) / WEIGHTED),
+                           {**shape, "copy_of": "large-embed", "edge_weights": 1.0,
+                            "comment_lines": 1})
+        for name, (files, shape) in cases.items():
             runs = {t: [] for t in trees}
             for r in range(args.rounds):
                 order = list(trees) if r % 2 == 0 else list(trees)[::-1]
@@ -158,8 +169,7 @@ def main(argv=None) -> int:
                 raise SystemExit(f"{name}: the trees built different graphs")
             wins = sum(c["load_s"] < p["load_s"] for p, c in zip(runs["parent"], runs["change"]))
             report["workloads"][name] = {
-                "inputs": {"seed": args.seed, "nodes": spec.nodes, "edges": spec.edges,
-                           "attributes": spec.attrs, "attributes_per_node": spec.attrs_per_node},
+                "inputs": shape,
                 **{t: {phase: summary([run[phase] for run in runs[t]]) for phase in PHASES}
                    for t in trees},
                 "change_faster_rounds": wins,

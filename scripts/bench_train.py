@@ -46,21 +46,13 @@ from pathlib import Path
 
 import numpy as np
 
+from benchlib import peak_rss_mb, summary
+
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD = "citeseer-pipeline"
 EPOCHS = 1
 PHASES = ("train_s", "sample_s", "forward_s", "row_blocks_s", "route_s", "backward_s",
           "update_s", "peak_rss_mb")
-
-
-def _peak_rss_mb() -> float:
-    """This process's peak RSS.  ``ru_maxrss`` would also count the peak of
-    the process that started it, which Linux carries into the child."""
-    with open("/proc/self/status", encoding="ascii") as fh:
-        for line in fh:
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024.0
-    raise RuntimeError("no VmHWM in /proc/self/status")
 
 
 def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> dict:
@@ -105,7 +97,7 @@ def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> di
         "route_s": spent["route"],
         "backward_s": spent["batch"] - spent["forward"] - spent["rows"] - spent["route"],
         "update_s": spent["update"],
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": peak_rss_mb(),
         "digest": digest.hexdigest(),
     }
 
@@ -118,12 +110,6 @@ def run_child(tree: Path, files: dict) -> dict:
          str(files["nodes"]), str(files["attributes"])],
         env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
-
-
-def summary(values: list) -> dict:
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": round(float(median), 4), "q1": round(float(q1), 4),
-            "q3": round(float(q3), 4)}
 
 
 def main(argv=None) -> int:

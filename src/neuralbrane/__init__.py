@@ -12,7 +12,7 @@ from .model import (
 )
 from .sampler import SamplingError, Triplet, TripletSampler
 from .serialize import EmbeddingTable, read_embedding, write_embedding_text
-from .trainer import GradientSet, TrainConfig, TrainLog, train, triplet_gradients, triplet_loss
+from .trainer import GradientSet, TrainConfig, TrainLog, train
 from .evaluate import EvalReport, run_classification_eval, run_clustering_eval
 
 __version__ = "0.1.0"
@@ -40,8 +40,6 @@ __all__ = [
     "TrainLog",
     "GradientSet",
     "train",
-    "triplet_loss",
-    "triplet_gradients",
     "EvalReport",
     "run_classification_eval",
     "run_clustering_eval",

@@ -25,12 +25,12 @@ one flat ``values`` array with every node's entries end to end, cut by n+1
 from __future__ import annotations
 
 import logging
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -106,16 +106,6 @@ class AttributedGraph:
     def edge_count(self) -> int:
         """Number of undirected edges."""
         return int(self.neighbors.indptr[-1]) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors[u]
-        pos = int(nbrs.searchsorted(v))
-        return pos < len(nbrs) and nbrs[pos] == v
-
-    def edge_weight(self, u: int, v: int) -> float:
-        if not self.has_edge(u, v):
-            raise KeyError(f"no edge ({u}, {v})")
-        return float(self.weights[u][self.neighbors[u].searchsorted(v)])
 
     def labeled_nodes(self) -> np.ndarray:
         if self.labels is None:
@@ -295,19 +285,6 @@ def _tokens(path: Path):
                 yield lineno, toks
 
 
-# Text read per block of lines: 64 KiB keeps a block's token lists small
-# (1 MiB blocks took 0.1-0.2 s longer on the benchmark's `large-embed` files).
-_BLOCK_BYTES = 1 << 16
-
-
-def _token_blocks(path: Path):
-    """Yield the token lists of the non-comment, non-blank lines, in blocks
-    of about ``_BLOCK_BYTES`` of text."""
-    with open_text(path) as fh:
-        while lines := fh.readlines(_BLOCK_BYTES):
-            yield [toks for toks in map(str.split, lines) if toks and toks[0][0] != "#"]
-
-
 _MAX_ID = np.iinfo(np.int64).max
 
 
@@ -384,167 +361,153 @@ def _read_plain(path: Path):
     return values, fields
 
 
-# A file that is not plain goes the token path, where each reader sends all
-# of its tokens through one np.fromiter, whose buffer grows in place.  Arrays
-# made per block and concatenated after split the heap: while the benchmark's
-# `large-embed` files went this way, that made its peak RSS read 104 or 121 MB
-# as unrelated small allocations fell.
+def _read_lines(path: Path, weighted: bool):
+    """(ids, fields, weights, error) of ``path`` read line by line: the
+    lines' ids end to end as int64, each line's id count and its weight
+    (``weighted`` for an edge file, '<src> <dst> [weight]'; else 1.0).  Reading
+    stops at the first token that does not convert: ``error`` is then its
+    GraphFormatError, else None, and the arrays hold what comes before it,
+    an edge line only whole."""
+    ids, fields, weights = array("q"), array("q"), array("d")
+    error = None
+    for lineno, toks in _tokens(path):
+        # the quick conversion; where it fails, _parse_line reads the line
+        # again and words its first bad token
+        try:
+            if weighted:
+                u, v, w = toks if len(toks) == 3 else (*toks, "1")
+                line, weight = [int(u), int(v)], float(w)
+            else:
+                line, weight = list(map(int, toks)), 1.0
+            if min(line) < 0:
+                raise ValueError
+            ids.fromlist(line)  # OverflowError from 2**63 up, leaving ids as they were
+        except (ValueError, OverflowError):
+            line, weight = [], 1.0
+            try:
+                weight = _parse_line(toks, path, lineno, weighted, line)
+            except GraphFormatError as exc:
+                error = exc
+                if weighted or not line:  # an edge line counts only whole
+                    break
+            ids.fromlist(line)
+        fields.append(len(line))
+        weights.append(weight)
+        if error is not None:
+            break
+    return (np.frombuffer(ids, dtype=np.int64), np.frombuffer(fields, dtype=np.int64),
+            np.frombuffer(weights), error)
+
+
+def _parse_line(toks: list[str], path: Path, lineno: int, weighted: bool, ids: list) -> float:
+    """The weight of a line: an edge line's '<src> <dst> [weight]' (1.0 when
+    none is given), or 1.0 for an attribute line's '<node-id> <attr-id> ...'.
+    Its ids are appended to ``ids`` as each is read, and its first bad field
+    raises GraphFormatError."""
+    if weighted and len(toks) not in (2, 3):
+        raise GraphFormatError(
+            f"{path}:{lineno}: expected '<src> <dst> [weight]', got {len(toks)} fields"
+        )
+    for k, token in enumerate(toks[:2] if weighted else toks):
+        ids.append(_parse_id(token, path, lineno, "attribute" if k and not weighted else "node"))
+    if not weighted or len(toks) == 2:
+        return 1.0
+    try:
+        return float(toks[2])
+    except ValueError:
+        raise GraphFormatError(f"{path}:{lineno}: weight {toks[2]!r} is not a number") from None
+
+
 def _read_edges(path: Path):
-    """(src, dst, weight) of every edge line in file order, or None if a line
-    has the wrong number of fields or a token that does not convert."""
+    """(src, dst, weight, error) of the edge lines in file order, with
+    ``_read_lines``' error."""
     plain = _read_plain(path)
     if plain is not None and (plain[1] == 2).all():
         flat = plain[0]
-        return flat[0::2], flat[1::2], np.ones(len(flat) // 2)
-    lengths, weight_tokens = [], []
-
-    def counted(rows):
-        lengths.extend(map(len, rows))
-        weight_tokens.extend(row[2] for row in rows if len(row) == 3)
-        return rows
-
-    ends = chain.from_iterable(map(itemgetter(0, 1), chain.from_iterable(
-        map(counted, _token_blocks(path)))))
-    try:
-        flat = np.fromiter(map(int, ends), dtype=np.int64)
-        given = np.fromiter(map(float, weight_tokens), dtype=np.float64,
-                            count=len(weight_tokens))
-    except (ValueError, OverflowError, IndexError):  # IndexError: a 1-field line
-        return None
-    fields = np.array(lengths, dtype=np.int64)
-    weighted = fields == 3
-    if not (weighted | (fields == 2)).all():
-        return None
-    weight = np.ones(len(fields))
-    weight[weighted] = given
-    return flat[0::2], flat[1::2], weight
+        return flat[0::2], flat[1::2], np.ones(len(flat) // 2), None
+    flat, _, weight, error = _read_lines(path, weighted=True)
+    return flat[0::2], flat[1::2], weight, error
 
 
 def _read_attributes(path: Path):
-    """(nodes, attr_node, attr_id) of the attribute lines in file order: each
-    line's node id, and one (node, attribute) pair per attribute token; None
-    if a token does not convert."""
+    """(nodes, attr_node, attr_id, fields, error) of the attribute lines in
+    file order: each line's node id, one (node, attribute) pair per attribute
+    token and each line's token count, with ``_read_lines``' error."""
     read = _read_plain(path)
+    error = None
     if read is None:
-        lengths = []
-
-        def counted(rows):
-            lengths.extend(map(len, rows))
-            return rows
-
-        tokens = chain.from_iterable(chain.from_iterable(map(counted, _token_blocks(path))))
-        try:
-            flat = np.fromiter(map(int, tokens), dtype=np.int64)
-        except (ValueError, OverflowError):
-            return None
-        read = flat, np.array(lengths, dtype=np.int64)
+        *read, _, error = _read_lines(path, weighted=False)
     flat, fields = read
     starts = np.cumsum(fields) - fields
     is_attr = np.ones(len(flat), dtype=bool)
     is_attr[starts] = False
     nodes = flat[starts]
-    return nodes, np.repeat(nodes, fields - 1), flat[is_attr]
+    return nodes, np.repeat(nodes, fields - 1), flat[is_attr], fields, error
 
 
-def _outside(ids: np.ndarray, count: int | None) -> bool:
-    """Whether some id is negative or at or past a declared count."""
-    return len(ids) > 0 and (ids.min() < 0 or (count is not None and ids.max() >= count))
+def _first_outside(ids: np.ndarray, count: int | None) -> int:
+    """The position of the first id at or past a declared count, or the
+    number of ids if none is."""
+    if count is None or ids.max(initial=-1) < count:
+        return len(ids)
+    return int(np.argmax(ids >= count))
 
 
-def _check_edge_lines(path: Path, node_count) -> None:
-    """Raise GraphFormatError for the first line of an edge file that breaks
-    its format; each edge's first weight is kept only to word a conflict."""
-    first_weight: dict[tuple[int, int], float] = {}
-    for lineno, toks in _tokens(path):
-        if len(toks) not in (2, 3):
-            raise GraphFormatError(
-                f"{path}:{lineno}: expected '<src> <dst> [weight]', got {len(toks)} fields"
-            )
-        u = _parse_id(toks[0], path, lineno, "node")
-        v = _parse_id(toks[1], path, lineno, "node")
-        if len(toks) == 3:
-            try:
-                w = float(toks[2])
-            except ValueError:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: weight {toks[2]!r} is not a number"
-                ) from None
-        else:
-            w = 1.0
-        if not np.isfinite(w) or w <= 0:
-            raise GraphFormatError(f"{path}:{lineno}: weight must be a positive finite number")
-        if node_count is not None and (u >= node_count or v >= node_count):
-            raise GraphFormatError(
-                f"{path}:{lineno}: node id exceeds declared node count {node_count}"
-            )
-        if u == v:
-            continue
-        previous = first_weight.setdefault((min(u, v), max(u, v)), w)
-        if previous != w:
-            raise GraphFormatError(
-                f"{path}:{lineno}: edge ({u}, {v}) repeated with conflicting "
-                f"weight {w} (previously {previous})"
-            )
-
-
-def _check_attribute_lines(path: Path, node_count, attribute_count) -> None:
-    """Raise GraphFormatError for the first line of an attribute file that
-    breaks its format."""
-    for lineno, toks in _tokens(path):
-        u = _parse_id(toks[0], path, lineno, "node")
-        if node_count is not None and u >= node_count:
-            raise GraphFormatError(
-                f"{path}:{lineno}: node id {u} exceeds declared node count {node_count}"
-            )
-        for tok in toks[1:]:
-            a = _parse_id(tok, path, lineno, "attribute")
-            if attribute_count is not None and a >= attribute_count:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: attribute id {a} exceeds declared "
-                    f"attribute count {attribute_count}"
-                )
-
-
-def _reject_file(check_lines, path: Path, *counts) -> NoReturn:
-    """Raise the message of the first bad line of a file the array checks
-    flagged, found by reading it again line by line."""
-    check_lines(path, *counts)
-    raise RuntimeError(f"{path}: the array checks flag this file, the line checks pass it")
+def _reject_lines(path: Path, found: list, error) -> None:
+    """Raise the error of a file's first bad line: of ``found``, (line,
+    problem) pairs for the converted lines (counted from 0 over the lines
+    ``_tokens`` yields) listed in the order a line is checked, the first on
+    the earliest line; or else the reader's ``error``, which comes after them."""
+    if found:
+        line, problem = min(found, key=itemgetter(0))
+        lineno = next(islice(_tokens(path), line, None))[0]
+        raise GraphFormatError(f"{path}:{lineno}: {problem}")
+    if error is not None:
+        raise error
 
 
 def _parse(edge_path: Path, attr_path: Path, label_path, node_count, attribute_count):
     """The arguments of ``from_edges`` for the documented text files.
 
-    Each file is converted to arrays and checked as a whole; a file the
-    checks flag is read again line by line only to word its first error, so
-    the ``file:line`` messages name the first bad line.
+    Each file is converted to arrays and each value rule checked on them as
+    a whole; only a file that breaks one is read again, up to its first bad
+    line, to number that line.
     """
-    # edges: ids in range, weights positive and finite, and a line repeating
-    # an edge repeats the weight of its first line
-    edges = _read_edges(edge_path)
-    if edges is None:
-        _reject_file(_check_edge_lines, edge_path, node_count)
-    src, dst, weight = edges
-    if (_outside(src, node_count) or _outside(dst, node_count)
-            or not (np.isfinite(weight) & (weight > 0)).all()):
-        _reject_file(_check_edge_lines, edge_path, node_count)
+    src, dst, weight, error = _read_edges(edge_path)
+    ok = np.isfinite(weight) & (weight > 0)
+    found = [(k, problem) for k, problem in (
+        (len(ok) if ok.all() else int(np.argmin(ok)), "weight must be a positive finite number"),
+        (min(_first_outside(src, node_count), _first_outside(dst, node_count)),
+         f"node id exceeds declared node count {node_count}")) if k < len(weight)]
+    del ok
     loop = src == dst
     lo, hi, w = np.minimum(src, dst)[~loop], np.maximum(src, dst)[~loop], weight[~loop]
     order = _pair_order(lo, hi)
     first = np.ones(len(order), dtype=bool)
     first[1:] = (np.diff(lo[order]) != 0) | (np.diff(hi[order]) != 0)
-    if (w[order] != w[order[first]][np.cumsum(first) - 1]).any():
-        _reject_file(_check_edge_lines, edge_path, node_count)
+    # a line repeating an edge repeats the weight of its first line
+    repeats = order[w[order] != w[order[first]][np.cumsum(first) - 1]]
+    if len(repeats):
+        j = repeats.min()
+        k = np.flatnonzero(~loop)[j]
+        found.append((k, f"edge ({src[k]}, {dst[k]}) repeated with conflicting weight {w[j]} "
+                         f"(previously {w[np.argmax((lo == lo[j]) & (hi == hi[j]))]})"))
+    _reject_lines(edge_path, found, error)
     self_loops = int(loop.sum())
     if self_loops:
         log.warning("%s: dropped %d self-loop line(s)", edge_path, self_loops)
     keep = np.sort(order[first])  # each edge once, in the order of its first line
 
-    attributes = _read_attributes(attr_path)
-    if (attributes is None or _outside(attributes[0], node_count)
-            or _outside(attributes[2], attribute_count)):
-        _reject_file(_check_attribute_lines, attr_path, node_count, attribute_count)
-    nodes, attr_node, attr_id = attributes
+    nodes, attr_node, attr_id, fields, error = _read_attributes(attr_path)
+    k, a = _first_outside(nodes, node_count), _first_outside(attr_id, attribute_count)
+    found = [] if k == len(nodes) else [
+        (k, f"node id {nodes[k]} exceeds declared node count {node_count}")]
+    if a < len(attr_id):  # on the line of the a-th attribute token
+        found.append((np.searchsorted(np.cumsum(fields - 1), a, side="right"),
+                      f"attribute id {attr_id[a]} exceeds declared attribute count "
+                      f"{attribute_count}"))
+    _reject_lines(attr_path, found, error)
+    del fields
 
     label_map = read_labels(label_path, node_count) if label_path is not None else {}
     max_node = max(max((int(a.max()) for a in (src, dst, nodes) if len(a)), default=-1),

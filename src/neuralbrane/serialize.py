@@ -24,9 +24,8 @@ import functools
 import os
 import stat
 import struct
-from array import array
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -305,17 +304,21 @@ def _format_rows(ids: np.ndarray, vectors: np.ndarray) -> bytes:
 def read_embedding_text(path) -> EmbeddingTable:
     path = Path(path)
     with open_text(path, SerializationError) as fh:
-        n, dim = _read_header(path, fh)
-        rows = _read_rows(fh, n, dim) if n >= 0 and dim >= 0 else None
-        if rows is None:
-            _check_rows(path, n, dim)
-            raise RuntimeError(f"{path}: the array reader flags this file, the row checks pass it")
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise SerializationError(f"{path}: expected '<n> <dim>' header")
+        try:
+            n, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise SerializationError(f"{path}: non-integer header fields") from None
+        if n < 0 or dim < 0:
+            raise SerializationError(f"{path}: negative count in the '<n> <dim>' header")
+        ids, vectors = _read_rows(path, fh, n, dim)
         for extra, line in enumerate(fh, n):
             if line.strip():
                 raise SerializationError(
                     f"{path}: row {extra} is past the {n} rows the header declares"
                 )
-    ids, vectors = rows
     order = np.argsort(ids, kind="stable")
     repeats = order[1:][ids[order[1:]] == ids[order[:-1]]]
     if len(repeats):
@@ -325,64 +328,38 @@ def read_embedding_text(path) -> EmbeddingTable:
     return EmbeddingTable(vectors=vectors, ids=ids)
 
 
-def _read_header(path: Path, fh) -> tuple[int, int]:
-    header = fh.readline().split()
-    if len(header) != 2:
-        raise SerializationError(f"{path}: expected '<n> <dim>' header")
-    try:
-        return int(header[0]), int(header[1])
-    except ValueError:
-        raise SerializationError(f"{path}: non-integer header fields") from None
-
-
-def _read_rows(fh, n: int, dim: int):
+def _read_rows(path: Path, fh, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(ids, vectors) of the ``n`` rows after the header, all values through
     one ``np.fromiter(map(float, …))`` with the exact count, so the table is
-    allocated once and no list of the file's tokens is built, and the ids
-    into an int64 array as each row is split; None if the file ends early, a
-    row has the wrong number of fields or a token does not convert."""
-    ids = array("q")
+    allocated once and no list of the file's tokens is built, and each id
+    stored as its row is split.  SerializationError names the first bad row:
+    one with the wrong number of fields (a row past the end of the file has
+    none), or one holding a token that does not convert."""
+    ids = np.empty(n, dtype=np.int64)
+    row = -1
 
     def values(line: str) -> list[str]:
+        nonlocal row
+        row += 1
         toks = line.split()
         if len(toks) != dim + 1:
-            raise ValueError
-        ids.append(int(toks[0]))
+            raise SerializationError(
+                f"{path}: row {row} has {len(toks)} fields, expected {dim + 1}"
+            )
+        ids[row] = int(toks[0])
         return toks[1:]
 
-    rows = map(values, islice(fh, n))
+    rows = map(values, islice(chain(fh, repeat("")), n))
     try:
         vectors = np.fromiter(map(float, chain.from_iterable(rows)), dtype=np.float64,
                               count=n * dim)
         for _ in rows:  # with dim 0 the values take no row
             pass
-    except (ValueError, OverflowError):
-        return None
-    if len(ids) != n:
-        return None
-    return np.frombuffer(ids, dtype=np.int64), vectors.reshape(n, dim)
-
-
-def _check_rows(path: Path, n: int, dim: int) -> None:
-    """Raise the error of the first bad row of a file the array reader
-    flagged, found by reading its rows again one at a time."""
-    ids = np.empty(n, dtype=np.int64)
-    vectors = np.empty((n, dim), dtype=np.float64)
-    with open_text(path, SerializationError) as fh:
-        fh.readline()
-        for row in range(n):
-            toks = fh.readline().split()
-            if len(toks) != dim + 1:
-                raise SerializationError(
-                    f"{path}: row {row} has {len(toks)} fields, expected {dim + 1}"
-                )
-            try:
-                ids[row] = int(toks[0])
-                vectors[row] = [float(t) for t in toks[1:]]
-            except (ValueError, OverflowError) as exc:
-                raise SerializationError(
-                    f"{path}: row {row} holds a bad number ({exc})"
-                ) from None
+    except SerializationError:
+        raise
+    except (ValueError, OverflowError) as exc:
+        raise SerializationError(f"{path}: row {row} holds a bad number ({exc})") from None
+    return ids, vectors.reshape(n, dim)
 
 
 def _check_finite(path, vectors: np.ndarray) -> None:

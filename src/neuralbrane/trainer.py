@@ -24,7 +24,7 @@ import numpy as np
 
 from .graph import AttributedGraph, Rows
 from .model import POOLING_MODES, ModelParameters, forward, init_parameters, sigmoid
-from .sampler import Triplet, TripletSampler
+from .sampler import TripletSampler
 
 log = logging.getLogger(__name__)
 
@@ -207,19 +207,6 @@ def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
     w_grad += 2.0 * reg * len(triplets) * params.W
     b_grad += 2.0 * reg * len(triplets) * params.b
     return GradientSet(attr.ids, attr.grad, nbr.ids, nbr.grad, w_grad, b_grad), losses
-
-
-def triplet_loss(params: ModelParameters, g: AttributedGraph, t: Triplet,
-                 reg: float = 0.0, pooling: str = "max") -> float:
-    """-ln sigmoid(margin) plus the L2 term over touched rows, W, and b."""
-    (bpr, l2), = batch_gradients(params, g, (t,), reg, pooling)[1]
-    return bpr + l2
-
-
-def triplet_gradients(params: ModelParameters, g: AttributedGraph, t: Triplet,
-                      reg: float = 0.0, pooling: str = "max") -> GradientSet:
-    """Exact gradients of triplet_loss for every parameter the triplet touches."""
-    return batch_gradients(params, g, (t,), reg, pooling)[0]
 
 
 def apply_update(params: ModelParameters, grads: GradientSet, learning_rate: float) -> None:

@@ -4,6 +4,8 @@ Everything here is written from the operation definitions with plain Python
 loops (and math.*), or as the straightforward numpy form a faster package
 routine replaced, deliberately sharing no code with the package, so the
 tests compare two separately derived routes to the same quantities.
+``triplet_loss`` and ``triplet_gradients`` are the exception: they run the
+package's batch routine on one triplet, for the tests that probe one.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
+
+from neuralbrane.trainer import batch_gradients
 
 
 def naive_triplet_loss(params, g, t, reg, pooling="max", real=float):
@@ -111,6 +115,30 @@ def bpr_probability(s_ui, s_uj):
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def triplet_loss(params, g, t, reg=0.0, pooling="max"):
+    """-ln sigmoid(margin) plus the L2 term over touched rows, W, and b."""
+    (bpr, l2), = batch_gradients(params, g, (t,), reg, pooling)[1]
+    return bpr + l2
+
+
+def triplet_gradients(params, g, t, reg=0.0, pooling="max"):
+    """Exact gradients of triplet_loss for every parameter the triplet touches."""
+    return batch_gradients(params, g, (t,), reg, pooling)[0]
+
+
+def has_edge(g, u, v):
+    """Whether ``g`` joins u and v, from u's neighbor list."""
+    return v in g.neighbors[u].tolist()
+
+
+def edge_weight(g, u, v):
+    """The weight of the edge (u, v); KeyError where there is none."""
+    neighbors = g.neighbors[u].tolist()
+    if v not in neighbors:
+        raise KeyError(f"no edge ({u}, {v})")
+    return float(g.weights[u][neighbors.index(v)])
 
 
 def per_chunk_batch_gradients(params, g, batch, reg=0.0, pooling="max", chunk=16):
@@ -401,6 +429,8 @@ def rowwise_read_embedding_text(path, error):
             n, dim = int(header[0]), int(header[1])
         except ValueError:
             raise error(f"{path}: non-integer header fields") from None
+        if n < 0 or dim < 0:
+            raise error(f"{path}: negative count in the '<n> <dim>' header")
         ids = np.empty(n, dtype=np.int64)
         vectors = np.empty((n, dim), dtype=np.float64)
         for row in range(n):

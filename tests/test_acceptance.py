@@ -28,7 +28,7 @@ from neuralbrane.model import (
 )
 from neuralbrane.sampler import SamplingError, Triplet, TripletSampler
 from neuralbrane.synthetic import planted_partition
-from neuralbrane.trainer import TrainConfig, train, triplet_gradients, triplet_loss
+from neuralbrane.trainer import TrainConfig, train
 
 from . import criterion5
 from .oracles import (
@@ -41,6 +41,8 @@ from .oracles import (
     naive_triplet_loss,
     naive_wcss,
     relative_error,
+    triplet_gradients,
+    triplet_loss,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "citeseer"

@@ -6,7 +6,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from neuralbrane import graph
@@ -16,7 +16,9 @@ from neuralbrane.graph import (
 )
 
 from .conftest import TOY_EDGES, write_toy_files
-from .oracles import NaiveFormatError, naive_parse, pair_order_attribute_rows
+from .oracles import (
+    NaiveFormatError, edge_weight, has_edge, naive_parse, pair_order_attribute_rows,
+)
 
 
 def graphs_equal(a: AttributedGraph, b: AttributedGraph) -> bool:
@@ -54,14 +56,14 @@ class TestLoadGraph:
         (tmp_path / "a.txt").write_text("0\n1\n")
         g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
         assert g.edge_count == 1
-        assert g.edge_weight(0, 1) == 2.0
-        assert g.edge_weight(1, 0) == 2.0
+        assert edge_weight(g, 0, 1) == 2.0
+        assert edge_weight(g, 1, 0) == 2.0
 
     def test_missing_weight_defaults_to_one(self, tmp_path):
         (tmp_path / "e.txt").write_text("0 1\n")
         (tmp_path / "a.txt").write_text("0\n1\n")
         g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
-        assert g.edge_weight(0, 1) == 1.0
+        assert edge_weight(g, 0, 1) == 1.0
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         (tmp_path / "e.txt").write_text("# header\n\n0 1 1.5\n")
@@ -76,7 +78,7 @@ class TestLoadGraph:
         g = load_graph(tmp_path / "e.txt", tmp_path / "a.txt")
         assert g.self_loops_dropped == 2
         assert g.edge_count == 1
-        assert not g.has_edge(0, 0)
+        assert not has_edge(g, 0, 0)
 
     def test_conflicting_duplicate_weight_rejected(self, tmp_path):
         (tmp_path / "e.txt").write_text("0 1 1.0\n1 0 3.0\n")
@@ -176,7 +178,7 @@ class TestInvariants:
         write_toy_files(tmp_path, weights=[1.5, 2.0, 0.5, 3.25, 1.0, 7.0])
         g = load_graph(tmp_path / "edges.txt", tmp_path / "attrs.txt")
         for u, v in TOY_EDGES:
-            assert g.edge_weight(u, v) == g.edge_weight(v, u)
+            assert edge_weight(g, u, v) == edge_weight(g, v, u)
 
     def test_round_trip(self, toy_graph, tmp_path):
         write_graph(toy_graph, tmp_path / "e2.txt", tmp_path / "a2.txt", tmp_path / "l2.txt")
@@ -285,35 +287,45 @@ class TestParserFuzz:
     message for the first bad line, and never another exception."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_matches_line_by_line_loader(self, tmp_path_factory, data):
+    @given(files=st.tuples(_EDGE_FILE, _ATTR_FILE, st.one_of(st.none(), _LABEL_FILE)),
+           endings=st.tuples(*[st.sampled_from(["\n", "\r\n"])] * 3),
+           node_count=st.sampled_from([None, 4, 11]),
+           attribute_count=st.sampled_from([None, 4, 11]))
+    # where the value rules and a token that does not convert meet: a
+    # conflict on an earlier line comes first, an attribute line's node id
+    # is range-checked before its next token is read, and a line's weight
+    # is checked before its ids' range
+    @example(files=(["0 1 2.0", "0 1 3.0", "1 x"], ["0", "1"], None), endings=("\n",) * 3,
+             node_count=None, attribute_count=None)
+    @example(files=(["0 1"], ["99 x"], None), endings=("\n",) * 3,
+             node_count=10, attribute_count=None)
+    @example(files=(["5 99 -1"], ["0"], None), endings=("\n",) * 3,
+             node_count=10, attribute_count=None)
+    def test_matches_line_by_line_loader(self, tmp_path_factory, files, endings, node_count,
+                                         attribute_count):
         directory = tmp_path_factory.mktemp("fuzz")
         paths = [directory / name for name in ("e.txt", "a.txt", "l.txt")]
-        for path, lines in zip(paths, (_EDGE_FILE, _ATTR_FILE, _LABEL_FILE)):
-            ending = data.draw(st.sampled_from(["\n", "\r\n"]))
-            path.write_bytes("".join(line + ending for line in data.draw(lines)).encode())
-        if not data.draw(st.booleans()):
-            paths[2] = None
-        counts = dict(node_count=data.draw(st.sampled_from([None, 4, 11])),
-                      attribute_count=data.draw(st.sampled_from([None, 4, 11])))
-        # small blocks put block boundaries between the lines (1 byte: every line)
-        blocks = patch.object(graph, "_BLOCK_BYTES", data.draw(st.sampled_from([1, 20, 1 << 20])))
+        for path, lines, ending in zip(paths, files, endings):
+            if lines is None:
+                paths[2] = None
+            else:
+                path.write_bytes("".join(line + ending for line in lines).encode())
+        counts = dict(node_count=node_count, attribute_count=attribute_count)
         try:
             expected = from_edges(*naive_parse(*paths, **counts))
         except NaiveFormatError as exc:
-            with blocks, pytest.raises(GraphFormatError) as raised:
+            with pytest.raises(GraphFormatError) as raised:
                 load_graph(*paths, **counts)
             assert str(raised.value) == str(exc)
         else:
-            with blocks:
-                got = load_graph(*paths, **counts)
+            got = load_graph(*paths, **counts)
             assert graphs_equal(got, expected)
             assert got.self_loops_dropped == expected.self_loops_dropped
 
 
 # Plain files (digits, spaces, tabs and "\n" only), whose ids all convert in
 # one np.fromstring.  2**63 - 1 and anything longer make strtoll clamp, so
-# those files go the token path, which reads their exact value or message.
+# those files are read line by line, which gives their exact value or message.
 _PLAIN_IDS = st.one_of(st.integers(0, 3).map(str), st.sampled_from(
     ["07", "00", "0003", str(2**63 - 1), str(2**63), "99999999999999999999"]))
 
@@ -339,27 +351,27 @@ def _clamps(text: str) -> bool:
 class TestPlainFiles:
     """Files of nothing but ASCII digits, spaces, tabs and "\n" convert in
     one np.fromstring: the same arrays or the same message as ``naive_parse``,
-    and every other file goes the token path with its line numbers."""
+    and every other file is read line by line."""
 
     @staticmethod
     @contextmanager
     def paths_taken():
-        """Note, by file name, the path that gave each file's arrays while
-        ``load_graph`` runs: "plain", or "tokens" where the plain reader
+        """Note, by file name, the reader that gave each file's arrays while
+        ``load_graph`` runs: "plain", or "lines" where the plain reader
         passed the file on."""
         taken = {}
-        read_plain, token_blocks = graph._read_plain, graph._token_blocks
+        read_plain, read_lines = graph._read_plain, graph._read_lines
 
         def plain(path):
             taken[path.name] = "plain"
             return read_plain(path)
 
-        def tokens(path):
-            taken[path.name] = "tokens"
-            return token_blocks(path)
+        def lines(path, *args, **kwargs):
+            taken[path.name] = "lines"
+            return read_lines(path, *args, **kwargs)
 
         with patch.object(graph, "_read_plain", plain), \
-                patch.object(graph, "_token_blocks", tokens):
+                patch.object(graph, "_read_lines", lines):
             yield taken
 
     @settings(max_examples=300, deadline=None)
@@ -418,13 +430,13 @@ class TestPlainFiles:
         (tmp_path / "a.txt").write_text("0\n")
         with self.paths_taken() as taken, pytest.raises(GraphFormatError) as raised:
             load_graph(tmp_path / "e.txt", tmp_path / "a.txt", node_count=5)
-        assert taken == {"e.txt": "tokens"}
+        assert taken == {"e.txt": "lines"}
         assert str(raised.value) == (
             f"{tmp_path / 'e.txt'}:{lineno}: node id exceeds declared node count 5")
         (tmp_path / "e.txt").write_bytes(text.replace("7", "3").encode())
         with self.paths_taken() as taken:
             got = load_graph(tmp_path / "e.txt", tmp_path / "a.txt", node_count=5)
-        assert taken == {"e.txt": "tokens", "a.txt": "plain"}
+        assert taken == {"e.txt": "lines", "a.txt": "plain"}
         assert got.edge_count == 3
 
     def test_converted_linqs_edges_load_as_weighted_ones(self, tmp_path, capsys):
