@@ -25,6 +25,8 @@ The phases are read from the module's own functions, wrapped in the child:
   deduplication (``parse_s`` minus ``read_s``);
 * ``parse_s``: all of ``_parse``;
 * ``from_edges_s``: the CSR build and ``validate``;
+* ``validate_s``: ``AttributedGraph.validate``, the part of ``from_edges_s``
+  that checks the built graph;
 * ``load_s``: the whole call, and ``peak_rss_mb`` the child's peak RSS.
 
 Both trees must build identical graph arrays (compared by digest).  The
@@ -50,7 +52,8 @@ from benchlib import peak_rss_mb, summary
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD_NAMES = ("large-embed", "citeseer-pipeline")
 WEIGHTED = "large-embed-weighted"
-PHASES = ("load_s", "parse_s", "read_s", "checks_s", "from_edges_s", "peak_rss_mb")
+PHASES = ("load_s", "parse_s", "read_s", "checks_s", "from_edges_s", "validate_s",
+          "peak_rss_mb")
 
 
 def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> dict:
@@ -58,7 +61,7 @@ def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> di
     sys.path.insert(0, str(tree / "src"))
     from neuralbrane import graph
 
-    spent = {"_parse": 0.0, "from_edges": 0.0, "read": 0.0}
+    spent = {"_parse": 0.0, "from_edges": 0.0, "read": 0.0, "validate": 0.0}
 
     def timed(fn, key):
         def wrapper(*args, **kwargs):
@@ -71,6 +74,7 @@ def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> di
 
     graph._parse = timed(graph._parse, "_parse")
     graph.from_edges = timed(graph.from_edges, "from_edges")
+    graph.AttributedGraph.validate = timed(graph.AttributedGraph.validate, "validate")
     has_readers = hasattr(graph, "_read_edges")
     if has_readers:
         graph._read_edges = timed(graph._read_edges, "read")
@@ -91,6 +95,7 @@ def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> di
         "read_s": spent["read"] if has_readers else None,
         "checks_s": spent["_parse"] - spent["read"] if has_readers else None,
         "from_edges_s": spent["from_edges"],
+        "validate_s": spent["validate"],
         "peak_rss_mb": peak_rss_mb(),
         "digest": digest.hexdigest(),
     }

@@ -157,18 +157,6 @@ def _softmax_step(features: np.ndarray, targets: np.ndarray, num_classes: int,
     return step
 
 
-def softmax_cross_entropy(weights: np.ndarray, features: np.ndarray,
-                          targets: np.ndarray, num_classes: int,
-                          penalty: float = LOGREG_PENALTY):
-    """Mean cross-entropy of a bias-augmented softmax classifier plus an L2
-    penalty on the non-bias weights; returns (loss, gradient)."""
-    features = np.asarray(features, dtype=np.float64)
-    step = _softmax_step(features, np.asarray(targets), num_classes,
-                         np.ones((1, features.shape[0]), dtype=bool), penalty)
-    loss, grad = step(np.asarray(weights, dtype=np.float64)[None])
-    return float(loss[0]), grad[0]
-
-
 def train_linear_classifier(features: np.ndarray, targets: np.ndarray,
                             num_classes: int, *, train: np.ndarray | None = None,
                             penalty: float = LOGREG_PENALTY,

@@ -134,10 +134,16 @@ class AttributedGraph:
         _reject(nbrs == owner, "self-loop", self.neighbors)
         _check_ids(self.attributes, self.attribute_count, "attribute")
         # symmetry with equal weights: the (owner, neighbor) keys now ascend
-        # strictly, so each edge's reverse is found by binary search
+        # strictly, so the graph is symmetric when its reverse keys, sorted,
+        # are the keys, and their weights follow them; only a graph that is
+        # not looks each edge's reverse up by binary search, to name the first
         if len(nbrs) == 0:
             return
-        pos, found = locate(owner * n + nbrs, nbrs * n + owner)
+        keys, reverse = owner * n + nbrs, nbrs * n + owner
+        order = np.argsort(reverse)
+        if np.array_equal(reverse[order], keys) and np.array_equal(wts[order], wts):
+            return
+        pos, found = locate(keys, reverse)
         missing = ~found
         bad = missing | (wts[pos] != wts)
         if bad.any():
@@ -206,20 +212,29 @@ def _pair_key(major: np.ndarray, minor: np.ndarray):
 
 
 def _pair_order(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """The permutation ``np.lexsort((minor, major))`` gives, from one stable
-    argsort of the pairs' key, or from lexsort where the key would overflow."""
+    """The permutation ``np.lexsort((minor, major))`` gives, from an argsort
+    of the pairs' key, or from lexsort where the key would overflow.  While
+    no key repeats, every sort gives that one permutation, so the default
+    (fastest) sort is tried first and the stable one runs only on repeats."""
     keyed = _pair_key(major, minor) if len(major) else None
     if keyed is None:
         return np.lexsort((minor, major))
-    return np.argsort(keyed[0], kind="stable")
+    key = keyed[0]
+    order = np.argsort(key)
+    ranked = key[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        return np.argsort(key, kind="stable")
+    return order
 
 
 def _attribute_rows(n: int, attr_node: np.ndarray, attr_id: np.ndarray) -> Rows:
     """Each node's attribute ids in ascending order, a pair given twice kept
     once.  The pairs' key is sorted in place and decoded back into node and
-    id, so no sorted copy of the pairs is made; where the key would overflow,
-    lexsort orders the pairs.  The offsets count node ids in [0, n) only, so
-    ``validate`` rejects any other."""
+    id, so no sorted copy of the pairs is made; keys that already ascend
+    strictly, as a file listing nodes in order with ascending ids gives them,
+    are neither sorted nor searched for repeats.  Where the key would
+    overflow, lexsort orders the pairs.  The offsets count node ids in [0, n)
+    only, so ``validate`` rejects any other."""
     keyed = _pair_key(attr_node, attr_id) if len(attr_node) else None
     if keyed is None:
         order = np.lexsort((attr_id, attr_node))
@@ -229,11 +244,12 @@ def _attribute_rows(n: int, attr_node: np.ndarray, attr_id: np.ndarray) -> Rows:
         node, ids = node[keep], ids[keep]
     else:
         key, lo_node, lo_id, span = keyed
-        key.sort()
-        keep = np.ones(len(key), dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=keep[1:])
-        if not keep.all():
-            key = key[keep]
+        if not (key[1:] > key[:-1]).all():
+            key.sort()
+            keep = np.ones(len(key), dtype=bool)
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            if not keep.all():
+                key = key[keep]
         ids = key % span
         ids += lo_id
         node = key

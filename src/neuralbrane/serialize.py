@@ -313,6 +313,13 @@ def read_embedding_text(path) -> EmbeddingTable:
             raise SerializationError(f"{path}: non-integer header fields") from None
         if n < 0 or dim < 0:
             raise SerializationError(f"{path}: negative count in the '<n> <dim>' header")
+        # a row is dim + 1 tokens, each a byte or more and followed by a space
+        # or newline, the last row's perhaps not; refused before any allocation
+        held = os.fstat(fh.fileno())
+        need = 2 * n * (dim + 1) - 1
+        if stat.S_ISREG(held.st_mode) and n and need > held.st_size:
+            raise SerializationError(f"{path}: header '{n} {dim}' needs at least {need} bytes "
+                                     f"of rows, and the file has {held.st_size}")
         ids, vectors = _read_rows(path, fh, n, dim)
         for extra, line in enumerate(fh, n):
             if line.strip():

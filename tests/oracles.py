@@ -5,7 +5,9 @@ loops (and math.*), or as the straightforward numpy form a faster package
 routine replaced, deliberately sharing no code with the package, so the
 tests compare two separately derived routes to the same quantities.
 ``triplet_loss`` and ``triplet_gradients`` are the exception: they run the
-package's batch routine on one triplet, for the tests that probe one.
+package's batch routine on one triplet, for the tests that probe one; so is
+``softmax_cross_entropy``, the classifier's step for a single fit.  They
+import the package when called, so this module loads without it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-
-from neuralbrane.trainer import batch_gradients
 
 
 def naive_triplet_loss(params, g, t, reg, pooling="max", real=float):
@@ -119,12 +119,14 @@ def bpr_probability(s_ui, s_uj):
 
 def triplet_loss(params, g, t, reg=0.0, pooling="max"):
     """-ln sigmoid(margin) plus the L2 term over touched rows, W, and b."""
+    from neuralbrane.trainer import batch_gradients
     (bpr, l2), = batch_gradients(params, g, (t,), reg, pooling)[1]
     return bpr + l2
 
 
 def triplet_gradients(params, g, t, reg=0.0, pooling="max"):
     """Exact gradients of triplet_loss for every parameter the triplet touches."""
+    from neuralbrane.trainer import batch_gradients
     return batch_gradients(params, g, (t,), reg, pooling)[0]
 
 
@@ -139,6 +141,27 @@ def edge_weight(g, u, v):
     if v not in neighbors:
         raise KeyError(f"no edge ({u}, {v})")
     return float(g.weights[u][neighbors.index(v)])
+
+
+def symmetry_error(g):
+    """The message ``validate`` gives for the first edge, in (owner,
+    neighbor) order, whose reverse direction is missing or weighs another
+    amount, or None: each reverse key looked up by binary search in the
+    ascending keys of a graph that passes every other check."""
+    n, nbrs, wts = g.node_count, g.neighbors.values, g.weights.values
+    if len(nbrs) == 0:
+        return None
+    owner = np.repeat(np.arange(n), np.diff(g.neighbors.indptr))
+    keys = owner * n + nbrs
+    query = nbrs * n + owner
+    pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    missing = keys[pos] != query
+    bad = missing | (wts[pos] != wts)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    problem = "missing reverse direction" if missing[k] else "has asymmetric weights"
+    return f"edge ({owner[k]}, {nbrs[k]}) {problem}"
 
 
 def per_chunk_batch_gradients(params, g, batch, reg=0.0, pooling="max", chunk=16):
@@ -297,9 +320,21 @@ def naive_wcss(points, assignment):
     return total
 
 
+def softmax_cross_entropy(weights, features, targets, num_classes, penalty=1e-4):
+    """Mean cross-entropy of one bias-augmented softmax classifier over every
+    row plus an L2 penalty on the non-bias weights, as (loss, gradient): the
+    package's ``_softmax_step`` taken for a single fit."""
+    from neuralbrane.evaluate import _softmax_step
+    features = np.asarray(features, dtype=np.float64)
+    step = _softmax_step(features, np.asarray(targets), num_classes,
+                         np.ones((1, features.shape[0]), dtype=bool), penalty)
+    loss, grad = step(np.asarray(weights, dtype=np.float64)[None])
+    return float(loss[0]), grad[0]
+
+
 def rowmajor_softmax_cross_entropy(weights, features, targets, num_classes, penalty):
     """Softmax cross-entropy with (n × classes) logits, reduced along axis 1;
-    returns (loss, gradient) as ``evaluate.softmax_cross_entropy`` does."""
+    returns (loss, gradient) as ``softmax_cross_entropy`` does."""
     n = features.shape[0]
     augmented = np.hstack([features, np.ones((n, 1))])
     onehot = np.zeros((n, num_classes))
@@ -431,6 +466,10 @@ def rowwise_read_embedding_text(path, error):
             raise error(f"{path}: non-integer header fields") from None
         if n < 0 or dim < 0:
             raise error(f"{path}: negative count in the '<n> <dim>' header")
+        need, size = 2 * n * (dim + 1) - 1, path.stat().st_size
+        if n and need > size:
+            raise error(f"{path}: header '{n} {dim}' needs at least {need} bytes of rows, "
+                        f"and the file has {size}")
         ids = np.empty(n, dtype=np.int64)
         vectors = np.empty((n, dim), dtype=np.float64)
         for row in range(n):

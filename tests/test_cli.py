@@ -268,6 +268,16 @@ class TestEvaluateCommand:
         rows = [line.split(",") for line in out.read_text().splitlines()]
         assert all(len(r) == 3 for r in rows)  # id, x, y
 
+    @pytest.mark.parametrize("header", ["4000000000 2", "99999999999999999999 2"])
+    def test_embedding_header_past_the_file_is_user_error(self, tmp_path, capsys, header):
+        emb = tmp_path / "huge.txt"
+        emb.write_text(f"{header}\n0 1 2\n")
+        code = main(["evaluate", "--embeddings", str(emb), "--task", "project",
+                     "--out", str(tmp_path / "proj.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {emb}: header '{header}' needs")
+
     def test_evaluate_reads_binary_embeddings(self, toy_files, tmp_path, capsys):
         out = tmp_path / "emb.bin"
         assert main(train_args(toy_files, out, ["--emb-format", "binary"])) == 0

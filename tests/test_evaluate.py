@@ -11,7 +11,6 @@ from neuralbrane.evaluate import (
     purity,
     run_classification_eval,
     run_clustering_eval,
-    softmax_cross_entropy,
     split_train_test,
     train_linear_classifier,
     within_cluster_ss,
@@ -27,6 +26,7 @@ from .oracles import (
     perfit_train_linear_classifier,
     relative_error,
     rowmajor_softmax_cross_entropy,
+    softmax_cross_entropy,
 )
 
 

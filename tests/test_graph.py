@@ -18,6 +18,7 @@ from neuralbrane.graph import (
 from .conftest import TOY_EDGES, write_toy_files
 from .oracles import (
     NaiveFormatError, edge_weight, has_edge, naive_parse, pair_order_attribute_rows,
+    symmetry_error,
 )
 
 
@@ -550,6 +551,41 @@ class TestValidate:
         with pytest.raises(GraphFormatError, match=re.escape(message)):
             _path_graph(edits).validate()
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_symmetry_check_matches_the_binary_search(self, seed):
+        # a random valid graph, then one entry dropped or one weight changed
+        # (to another value, NaN included); validate names the edge the
+        # per-edge lookup names first
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        lo, hi = np.triu_indices(n, 1)
+        pick = rng.random(len(lo)) < rng.uniform(0.05, 0.6)
+        if not pick.any():
+            pick[rng.integers(len(pick))] = True
+        src, dst = lo[pick], hi[pick]
+        flip = rng.random(len(src)) < 0.5
+        src, dst = np.where(flip, dst, src), np.where(flip, src, dst)
+        weight = rng.integers(1, 4, len(src)).astype(np.float64)
+        g = from_edges(n, 1, src, dst, weight, np.empty(0, dtype=np.int64),
+                       np.empty(0, dtype=np.int64))
+        assert symmetry_error(g) is None
+        nbrs, wts, indptr = g.neighbors.values, g.weights.values, g.neighbors.indptr
+        k = int(rng.integers(len(nbrs)))
+        if seed % 2:
+            owner = int(np.searchsorted(indptr, k, side="right")) - 1
+            cut = indptr.copy()
+            cut[owner + 1:] -= 1
+            nbrs, wts = np.delete(nbrs, k), np.delete(wts, k)
+        else:
+            cut, wts = indptr, wts.copy()
+            wts[k] = np.nan if seed % 4 == 0 else wts[k] + float(rng.integers(1, 3))
+        bad = AttributedGraph(n, 1, Rows(cut, nbrs), Rows(cut, wts), g.attributes)
+        expected = symmetry_error(bad)
+        assert expected is not None
+        with pytest.raises(GraphFormatError) as raised:
+            bad.validate()
+        assert str(raised.value) == expected
+
     def test_from_edges_rejects_node_id_past_n(self):
         one = np.array([1])
         with pytest.raises(GraphFormatError, match="neighbor offsets end at 1, not at the 2"):
@@ -572,6 +608,30 @@ class TestPairOrder:
         for perm in (np.arange(600), rng.permutation(600)):
             a, b = major[perm], minor[perm]
             assert np.array_equal(_pair_order(a, b), np.lexsort((b, a)))
+
+    @pytest.mark.parametrize("repeated", [2, 17, 600])
+    def test_repeated_keys_take_the_stable_sort(self, repeated):
+        # the default sort may order equal keys either way; with any key
+        # repeated, the stable sort runs and equal pairs keep their order
+        rng = np.random.default_rng(repeated)
+        major, minor = rng.integers(0, 30, 600), rng.integers(0, 30, 600)
+        minor[:repeated] = minor[0]
+        major[:repeated] = major[0]
+        order = rng.permutation(600)
+        major, minor = major[order], minor[order]
+        with patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = _pair_order(major, minor)
+        assert np.array_equal(got, np.lexsort((minor, major)))
+        assert [call.kwargs.get("kind") for call in argsort.call_args_list] == [None, "stable"]
+
+    def test_unique_keys_take_one_sort(self):
+        rng = np.random.default_rng(5)
+        pairs = rng.permutation(900)[:600]
+        major, minor = pairs // 30, pairs % 30
+        with patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            got = _pair_order(major, minor)
+        assert np.array_equal(got, np.lexsort((minor, major)))
+        assert argsort.call_count == 1
 
     def test_empty(self):
         empty = np.empty(0, dtype=np.int64)
@@ -599,6 +659,28 @@ class TestAttributeRows:
         offsets, values = pair_order_attribute_rows(n, node, ids)
         assert np.array_equal(g.attributes.indptr, offsets)
         assert np.array_equal(g.attributes.values, values)
+
+    @pytest.mark.parametrize("edit", ["none", "repeat", "step down", "repeat at the end",
+                                      "step down at the start"])
+    def test_ascending_pairs_match_the_permuting_build(self, edit):
+        # a file listing nodes in order with ascending ids gives ascending
+        # keys, which are not sorted; one repeat or one step down is
+        rng = np.random.default_rng(3)
+        n, m = 20, 9
+        lists = [np.flatnonzero(rng.random(m) < 0.4) for _ in range(n)]
+        node = np.repeat(np.arange(n), [len(ids) for ids in lists])
+        ids = np.concatenate(lists)
+        k = {"none": None, "repeat": len(ids) // 2, "step down": len(ids) // 2,
+             "repeat at the end": len(ids) - 1, "step down at the start": 1}[edit]
+        if edit.startswith("repeat"):
+            node, ids = np.insert(node, k, node[k]), np.insert(ids, k, ids[k])
+        elif edit.startswith("step down"):
+            ids[k - 1], ids[k] = ids[k], ids[k - 1]
+            node[k - 1], node[k] = node[k], node[k - 1]
+        rows = _attribute_rows(n, node, ids)
+        offsets, values = pair_order_attribute_rows(n, node, ids)
+        assert np.array_equal(rows.indptr, offsets)
+        assert np.array_equal(rows.values, values)
 
     @pytest.mark.parametrize("low, high", [(-7, 10**6), (-2**62, 2**62)])
     def test_out_of_range_pairs_match_the_permuting_build(self, low, high):

@@ -1,5 +1,8 @@
 import math
+import os
 import struct
+import threading
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -75,6 +78,47 @@ def test_corrupt_files_rejected(tmp_path):
     (tmp_path / "bad.txt").write_text("2 3\n0 1.0 2.0\n")
     with pytest.raises(SerializationError):
         read_embedding_text(tmp_path / "bad.txt")
+
+
+@pytest.mark.parametrize("header, need", [
+    ("4000000000 2", "23999999999"),
+    ("99999999999999999999 2", "599999999999999999993"),
+    ("1 99999999999999999999", "199999999999999999999"),
+    ("3 2", "17"),
+])
+def test_text_header_count_past_the_file_rejected_before_allocating(tmp_path, header, need):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{header}\n0 1 2\n")
+    size = path.stat().st_size
+    with patch("neuralbrane.serialize._read_rows", side_effect=AssertionError("allocated")):
+        with pytest.raises(SerializationError) as raised:
+            read_embedding_text(path)
+    assert str(raised.value) == (f"{path}: header '{header}' needs at least {need} bytes of rows, "
+                                 f"and the file has {size}")
+
+
+def test_text_rows_of_one_byte_tokens_fit_the_header_bound(tmp_path):
+    # each row is 2 (dim + 1) bytes, the last one less its newline
+    path = tmp_path / "tight.txt"
+    path.write_text("3 2\n0 1 2\n1 3 4\n2 5 6")
+    assert read_embedding_text(path).vectors.tolist() == [[1, 2], [3, 4], [5, 6]]
+    path.write_text("4 1\n0 1\n1 3\n2 5\n")  # one row short, within the bound
+    with pytest.raises(SerializationError, match="row 3 has 0 fields, expected 2"):
+        read_embedding_text(path)
+
+
+def test_text_from_a_pipe_has_no_size_to_check(tmp_path):
+    # a pipe reports size 0, so the header bound applies to regular files only
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=("2 1\n0 1.5\n1 2.5\n",),
+                              daemon=True)
+    writer.start()
+    try:
+        assert read_embedding_text(path).vectors.tolist() == [[1.5], [2.5]]
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_checkpoint_round_trip(tmp_path):
