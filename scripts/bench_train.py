@@ -14,15 +14,18 @@ pooling, one epoch (``EPOCHS``) with no early stop.  The trees take turns,
 and the tree that goes first alternates from round to round, so drift of the
 host falls on both alike.
 
-The phases are read from the trainer's own functions, wrapped in the child:
+The phases are read from the trainer's own functions, looked up by name
+and wrapped in the child; a tree without one of them reports None for its
+phase:
 
 * ``sample_s``: ``TripletSampler.sample_batch``;
 * ``forward_s``: ``forward`` as the trainer calls it, the pooling included;
-* ``row_blocks_s``: building ``_RowBlock``, each triplet's looked-up rows
-  and their L2 gradient start;
-* ``route_s``: ``_RowBlock.route``, one call per lookup and half;
-* ``backward_s``: the rest of ``batch_gradients``: margins, the per-lookup
-  h*d work (``np.outer``, ``W.T @ masked``) and the L2 loss terms;
+* ``row_gradients_s``: ``_row_gradients``, once per batch and embedding
+  matrix: the looked-up rows, their L2 gradient start and sums, and the
+  routing of the pooled gradients;
+* ``backward_s``: the rest of ``batch_gradients``: margins, the masked
+  hidden gradients, the per-lookup h*d work (``np.outer``, ``W.T @``) and
+  the losses;
 * ``update_s``: ``apply_update``;
 * ``train_s``: the whole call, and ``peak_rss_mb`` the child's peak RSS.
 
@@ -35,6 +38,7 @@ trained faster than the parent.
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -51,16 +55,22 @@ from benchlib import peak_rss_mb, summary
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD = "citeseer-pipeline"
 EPOCHS = 1
-PHASES = ("train_s", "sample_s", "forward_s", "row_blocks_s", "route_s", "backward_s",
-          "update_s", "peak_rss_mb")
+PHASES = ("train_s", "sample_s", "forward_s", "row_gradients_s", "backward_s", "update_s",
+          "peak_rss_mb")
+# phase -> (module, qualified name) of the function that the phase times
+TIMED = {"sample_s": ("sampler", "TripletSampler.sample_batch"),
+         "forward_s": ("trainer", "forward"),
+         "row_gradients_s": ("trainer", "_row_gradients"),
+         "batch_s": ("trainer", "batch_gradients"),
+         "update_s": ("trainer", "apply_update")}
 
 
 def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> dict:
     """Train once with ``tree``'s package; its phase times and a digest."""
     sys.path.insert(0, str(tree / "src"))
-    from neuralbrane import graph, sampler, trainer
+    from neuralbrane import graph, trainer
 
-    spent = dict.fromkeys(("sample", "forward", "rows", "route", "batch", "update"), 0.0)
+    spent = {}
 
     def timed(fn, key):
         def wrapper(*args, **kwargs):
@@ -71,12 +81,14 @@ def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> di
                 spent[key] += time.perf_counter() - started
         return wrapper
 
-    sampler.TripletSampler.sample_batch = timed(sampler.TripletSampler.sample_batch, "sample")
-    trainer.forward = timed(trainer.forward, "forward")
-    trainer._RowBlock.__init__ = timed(trainer._RowBlock.__init__, "rows")
-    trainer._RowBlock.route = timed(trainer._RowBlock.route, "route")
-    trainer.batch_gradients = timed(trainer.batch_gradients, "batch")
-    trainer.apply_update = timed(trainer.apply_update, "update")
+    for phase, (module, name) in TIMED.items():
+        *path, attr = name.split(".")
+        owner = importlib.import_module(f"neuralbrane.{module}")
+        for part in path:
+            owner = getattr(owner, part)
+        if hasattr(owner, attr):
+            spent[phase] = 0.0
+            setattr(owner, attr, timed(getattr(owner, attr), phase))
 
     g = graph.load_graph(edges, attrs, node_count=nodes, attribute_count=attributes)
     cfg = trainer.TrainConfig(d1=75, d2=75, hidden=150, learning_rate=0.5, reg=0.00005,
@@ -89,14 +101,12 @@ def child(tree: Path, edges: str, attrs: str, nodes: int, attributes: int) -> di
     digest = hashlib.sha256()
     for block in (params.P, params.P_prime, params.W, params.b):
         digest.update(block.tobytes())
+    inner = sum(spent.get(phase, 0.0) for phase in ("forward_s", "row_gradients_s"))
     return {
         "train_s": train_s,
-        "sample_s": spent["sample"],
-        "forward_s": spent["forward"],
-        "row_blocks_s": spent["rows"],
-        "route_s": spent["route"],
-        "backward_s": spent["batch"] - spent["forward"] - spent["rows"] - spent["route"],
-        "update_s": spent["update"],
+        **{phase: spent.get(phase) for phase in ("sample_s", "forward_s", "row_gradients_s")},
+        "backward_s": spent["batch_s"] - inner,
+        "update_s": spent["update_s"],
         "peak_rss_mb": peak_rss_mb(),
         "digest": digest.hexdigest(),
     }

@@ -11,7 +11,6 @@ lowest row index so backpropagation is deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,14 +172,6 @@ def forward(params: ModelParameters, g: AttributedGraph, nodes, pooling="max") -
     pre = f @ params.W.T + params.b
     return ForwardTrace(attr_rows, nbr_rows, attr_winners, nbr_winners, f, pre,
                         np.maximum(pre, 0.0))
-
-
-def sigmoid(x: float) -> float:
-    # sign-split keeps exp() arguments non-positive, so no overflow
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 def embed_all(params: ModelParameters, g: AttributedGraph, layer: str = "h",

@@ -320,6 +320,10 @@ def read_embedding_text(path) -> EmbeddingTable:
         if stat.S_ISREG(held.st_mode) and n and need > held.st_size:
             raise SerializationError(f"{path}: header '{n} {dim}' needs at least {need} bytes "
                                      f"of rows, and the file has {held.st_size}")
+        # nor a table no array can hold, which n = 0 or a pipe leaves unchecked
+        if max(n, 1) * max(dim, 1) > np.iinfo(np.intp).max // 8:
+            raise SerializationError(f"{path}: header '{n} {dim}' declares more values "
+                                     "than an array can hold")
         ids, vectors = _read_rows(path, fh, n, dim)
         for extra, line in enumerate(fh, n):
             if line.strip():

@@ -3,10 +3,11 @@
 Per triplet (u, i, j) the loss is -ln sigmoid(s_ui - s_uj) plus an L2 term
 over the parameters the triplet actually touches: the attribute and neighbor
 embedding rows looked up by any of its three nodes, and W and b.  A batch
-runs ``forward`` once, on its distinct nodes; gradients are then computed by
-hand per lookup through the dot-product margin, the ReLU hidden layer, the
-concatenation, and the pooling (routed to the max-pool winners, broadcast
-to all rows for sum pooling), and summed into a block of rows per matrix.
+runs ``forward`` once, on its distinct nodes, and is backpropagated by hand
+as arrays, save each lookup's two h x d products.  Those stay in a loop:
+summed per node first they would be two GEMMs, and the pooling and routing,
+which grow with d alone, would then set the epoch time, no longer linear in
+h * d as the paper's cost model and acceptance criterion 5b have it.
 
 One epoch processes as many triplets as the graph has undirected edges,
 resampled every epoch; gradients are averaged per batch by default so the
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import AttributedGraph, Rows
-from .model import POOLING_MODES, ModelParameters, forward, init_parameters, sigmoid
+from .model import _POOL_ROWS, POOLING_MODES, ModelParameters, forward, init_parameters
 from .sampler import TripletSampler
 
 log = logging.getLogger(__name__)
@@ -106,36 +107,6 @@ class GradientSet:
         return all(np.isfinite(block).all() for block in self._blocks())
 
 
-class _RowBlock:
-    """One embedding matrix's batch gradient over the rows the batch looks
-    up, started at each row's L2 gradient once for every triplet that looks
-    it up.  ``looked_up[t]`` holds triplet t's rows, sorted.  ``rows`` are
-    the batch forward's (``attr_rows`` / ``nbr_rows``), and ``at`` places
-    each triplet's u, i and j among them."""
-
-    def __init__(self, matrix: np.ndarray, rows: Rows, at: np.ndarray, reg: float) -> None:
-        # distinct (triplet, row) keys, sorted: each triplet's rows, once each
-        # (np.unique hashes the keys, which is far slower on a hub's rows)
-        taken, n, triplets = rows.take(at), len(matrix), len(at) // 3
-        keys = np.sort(taken.owners() // 3 * n + taken.values)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        self.looked_up = Rows(np.searchsorted(keys, np.arange(triplets + 1) * n), keys % n)
-        self.ids, counts = np.unique(self.looked_up.values, return_counts=True)
-        self.grad = matrix[self.ids]
-        self.grad *= (2.0 * reg * counts)[:, None]  # zero when reg is 0
-        self.cols = np.arange(matrix.shape[1])
-
-    def route(self, rows: Rows, winners: np.ndarray | None, k: int, part: np.ndarray) -> None:
-        """Add the gradient of node k's pooled vector to the rows it pooled:
-        ``rows`` and ``winners`` are one half's in a ForwardTrace.  The rows
-        of one lookup are distinct, so a fancy-indexed += is exact."""
-        local = np.searchsorted(self.ids, rows[k])
-        if winners is None:  # sum pooling broadcasts; an empty lookup pooled to zero
-            self.grad[local] += part
-        elif len(local):  # max pooling: each column to its winning row
-            self.grad[local[winners[k]], self.cols] += part
-
-
 @dataclass
 class TrainLog:
     """Per-epoch history; ``loss`` is the full objective (ranking + L2 term)."""
@@ -161,11 +132,44 @@ class TrainLog:
             fh.write(f"{e},{total[e]:.9g},{self.seconds[e]:.6f},{self.triplets[e]}\n")
 
 
-def _softplus(x: float) -> float:
+def _softplus(x: np.ndarray) -> np.ndarray:
     # log(1 + e^x) without overflow; equals -ln(sigmoid(-x))
-    if x > 0.0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _row_gradients(matrix: np.ndarray, rows: Rows, winners: np.ndarray | None,
+                   at: np.ndarray, grad_f: np.ndarray, reg: float):
+    """One embedding matrix's part of a batch's gradient: the sorted ids of
+    the rows the batch looks up, their gradient block, and per triplet the
+    summed squared norms of its rows.  ``rows`` and ``winners`` are one
+    half's of the batch's ForwardTrace, ``at`` places each triplet's u, i, j
+    among its nodes and ``grad_f`` holds each node's pooled-half gradient.
+    A row starts at its L2 gradient once per triplet that looks it up."""
+    ids, where = np.unique(rows.values, return_inverse=True)  # where: each entry among ids
+    # distinct (triplet, row) keys, sorted: each triplet's rows, once each
+    # (np.unique would hash them, which is far slower on a hub's rows)
+    taken = Rows(rows.indptr, where).take(at)
+    keys = np.sort(taken.owners() // 3 * len(ids) + taken.values)
+    triplet, local = np.divmod(keys[np.diff(keys, prepend=-1) != 0], len(ids))
+    grad = matrix[ids]
+    sums = np.bincount(triplet, weights=np.einsum("ij,ij->i", grad, grad)[local],
+                       minlength=len(at) // 3)
+    grad *= 2.0 * reg * np.bincount(local, minlength=len(ids))[:, None]  # zero when reg is 0
+
+    # unbuffered adds, as a row repeats across nodes; sum pooling routes in
+    # slices of _POOL_ROWS entries, so no (entries x width) values exist
+    if winners is None:  # every row a node pooled takes the node's gradient
+        owner = rows.owners()
+        routes = ((where[start:start + _POOL_ROWS, None], owner[start:start + _POOL_ROWS])
+                  for start in range(0, len(where), _POOL_ROWS))
+    else:  # max pooling: each column to its winning row; an empty half has none
+        filled = np.flatnonzero(np.diff(rows.indptr))
+        routes = [(where[rows.indptr[filled, None] + winners[filled]], filled)]
+    width = grad.shape[1]
+    for targets, nodes in routes:
+        np.add.at(grad.reshape(-1), (targets * width + np.arange(width)).ravel(),
+                  grad_f[nodes].ravel())
+    return ids, grad, sums
 
 
 def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
@@ -173,40 +177,43 @@ def batch_gradients(params: ModelParameters, g: AttributedGraph, batch,
     """Exact gradients of the summed losses of a batch of triplets, given as
     (u, i, j) rows (a ``sample_batch`` array, or a sequence of Triplets).
 
-    Returns the GradientSet and each triplet's (ranking loss, L2 term) in
-    batch order.  A row looked up by k triplets carries k times its L2
-    gradient; W and b carry it once per triplet.
+    Returns the GradientSet and a (triplets x 2) array of each triplet's
+    ranking loss and L2 term, in batch order.  A row looked up by k
+    triplets carries k times its L2 gradient; W and b carry it once per
+    triplet.
     """
     triplets = np.asarray(batch, dtype=np.int64)
     # a node repeated in the batch (a hub, often) is pooled once; row
     # at[3t], at[3t + 1], at[3t + 2] of the trace is the t-th (u, i, j)
     nodes, at = np.unique(triplets.ravel(), return_inverse=True)
     trace = forward(params, g, nodes, pooling)
-    attr = _RowBlock(params.P, trace.attr_rows, at, reg)
-    nbr = _RowBlock(params.P_prime, trace.nbr_rows, at, reg)
-    w_grad, b_grad, losses = np.zeros_like(params.W), np.zeros_like(params.b), []
-    dense_l2 = float(np.sum(params.W ** 2)) + float(np.sum(params.b ** 2))
-    for t, rows in enumerate(at.reshape(-1, 3)):
-        h_u, h_i, h_j = trace.h_vec[rows]
-        margin = float(np.dot(h_u, h_i) - np.dot(h_u, h_j))
-        delta = sigmoid(margin) - 1.0  # d/d(margin) of -ln sigmoid(margin)
-        grads_h = (delta * (h_i - h_j), delta * h_u, -delta * h_u)
-        for k, grad_h in zip(rows, grads_h):
-            masked = np.where(trace.pre_activation[k] > 0.0, grad_h, 0.0)
-            w_grad += np.outer(masked, trace.f[k])
-            b_grad += masked
-            grad_f = params.W.T @ masked  # split at the concat seam below
-            attr.route(trace.attr_rows, trace.attr_winners, k, grad_f[:params.d1])
-            nbr.route(trace.nbr_rows, trace.nbr_winners, k, grad_f[params.d1:])
-        l2 = 0.0
-        if reg != 0.0:
-            l2 = reg * (dense_l2 + float(np.sum(params.P[attr.looked_up[t]] ** 2))
-                        + float(np.sum(params.P_prime[nbr.looked_up[t]] ** 2)))
-        losses.append((_softplus(-margin), l2))
+    halves = ((params.P, trace.attr_rows, trace.attr_winners),
+              (params.P_prime, trace.nbr_rows, trace.nbr_winners))
+    h_u, h_i, h_j = (trace.h_vec[at[c::3]] for c in range(3))
+    margin = np.einsum("ij,ij->i", h_u, h_i) - np.einsum("ij,ij->i", h_u, h_j)
+    e = np.exp(-np.abs(margin))  # sign-split: exp() never overflows
+    delta = np.where(margin >= 0.0, 1.0, e) / (1.0 + e) - 1.0  # sigmoid(margin) - 1
 
+    # each lookup's gradient of its hidden vector, in lookup order, ReLU-masked
+    grad_h = np.stack([h_i - h_j, h_u, -h_u], axis=1)
+    grad_h *= delta[:, None, None]
+    grad_h = grad_h.reshape(-1, params.h)
+    grad_h[(trace.pre_activation <= 0.0)[at]] = 0.0
+    f, w_grad, grad_f = trace.f, np.zeros_like(params.W), np.zeros_like(trace.f)
+    del trace, h_u, h_i, h_j  # pre_activation and h_vec are spent
+    for k, lookup in zip(at.tolist(), grad_h):  # the h x d products: see the module doc
+        w_grad += np.outer(lookup, f[k])
+        grad_f[k] += params.W.T @ lookup
     w_grad += 2.0 * reg * len(triplets) * params.W
-    b_grad += 2.0 * reg * len(triplets) * params.b
-    return GradientSet(attr.ids, attr.grad, nbr.ids, nbr.grad, w_grad, b_grad), losses
+    b_grad = grad_h.sum(axis=0) + 2.0 * reg * len(triplets) * params.b
+    del f, grad_h  # spent before the row blocks are built
+
+    (attr_ids, attr_grad, attr_sums), (nbr_ids, nbr_grad, nbr_sums) = (
+        _row_gradients(matrix, rows, winners, at, part, reg)
+        for (matrix, rows, winners), part in zip(halves, np.hsplit(grad_f, [params.d1])))
+    dense_l2 = float(np.sum(params.W ** 2)) + float(np.sum(params.b ** 2))
+    losses = np.column_stack([_softplus(-margin), reg * (dense_l2 + attr_sums + nbr_sums)])
+    return GradientSet(attr_ids, attr_grad, nbr_ids, nbr_grad, w_grad, b_grad), losses
 
 
 def apply_update(params: ModelParameters, grads: GradientSet, learning_rate: float) -> None:
@@ -228,21 +235,17 @@ def _run_epoch(params: ModelParameters, g: AttributedGraph, sampler: TripletSamp
                cfg: TrainConfig, triplets: int) -> tuple[float, float]:
     """Sample, backpropagate and update over ``triplets`` triplets in batches;
     returns the summed ranking loss and L2 term."""
-    epoch_bpr = 0.0
-    epoch_reg = 0.0
-    remaining = triplets
+    totals, remaining = np.zeros(2), triplets
     while remaining > 0:
         batch = sampler.sample_batch(min(cfg.batch_size, remaining))
         remaining -= len(batch)
         grads, losses = batch_gradients(params, g, batch, cfg.reg, cfg.pooling)
-        for bpr, reg_term in losses:
-            epoch_bpr += bpr
-            epoch_reg += reg_term
+        totals += losses.sum(axis=0)
         if cfg.grad_agg == "mean":
             grads.scale(1.0 / len(batch))
         apply_update(params, grads, cfg.learning_rate)
         del grads  # spent; free its blocks before the next batch builds its own
-    return epoch_bpr, epoch_reg
+    return float(totals[0]), float(totals[1])
 
 
 def train(g: AttributedGraph, cfg: TrainConfig) -> tuple[ModelParameters, TrainLog]:

@@ -470,6 +470,9 @@ def rowwise_read_embedding_text(path, error):
         if n and need > size:
             raise error(f"{path}: header '{n} {dim}' needs at least {need} bytes of rows, "
                         f"and the file has {size}")
+        if max(n, 1) * max(dim, 1) > np.iinfo(np.intp).max // 8:
+            raise error(f"{path}: header '{n} {dim}' declares more values than an array "
+                        "can hold")
         ids = np.empty(n, dtype=np.int64)
         vectors = np.empty((n, dim), dtype=np.float64)
         for row in range(n):

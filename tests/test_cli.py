@@ -278,6 +278,15 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {emb}: header '{header}' needs")
 
+    def test_embedding_header_dim_no_array_can_hold_is_user_error(self, tmp_path, capsys):
+        emb = tmp_path / "wide.txt"
+        emb.write_text("0 99999999999999999999\n")
+        code = main(["evaluate", "--embeddings", str(emb), "--task", "project",
+                     "--out", str(tmp_path / "proj.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: {emb}: header '0 99999999999999999999' "
+                                           "declares more values than an array can hold\n")
+
     def test_evaluate_reads_binary_embeddings(self, toy_files, tmp_path, capsys):
         out = tmp_path / "emb.bin"
         assert main(train_args(toy_files, out, ["--emb-format", "binary"])) == 0

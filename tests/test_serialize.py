@@ -97,6 +97,27 @@ def test_text_header_count_past_the_file_rejected_before_allocating(tmp_path, he
                                  f"and the file has {size}")
 
 
+@pytest.mark.parametrize("header", [
+    "0 99999999999999999999", "0 9000000000000000000", "0 1152921504606846976",
+])
+def test_text_header_dim_no_array_can_hold_rejected_before_allocating(tmp_path, header):
+    # no row bytes are needed for n = 0, but numpy cannot shape a table of
+    # rows of more than 2**63 bytes, even an empty one
+    path = tmp_path / "wide.txt"
+    path.write_text(f"{header}\n")
+    with patch("neuralbrane.serialize._read_rows", side_effect=AssertionError("allocated")):
+        with pytest.raises(SerializationError) as raised:
+            read_embedding_text(path)
+    assert str(raised.value) == (f"{path}: header '{header}' declares more values "
+                                 "than an array can hold")
+
+
+def test_text_header_dim_at_the_array_limit_reads_an_empty_table(tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text(f"0 {np.iinfo(np.intp).max // 8}\n")
+    assert read_embedding_text(path).vectors.shape == (0, np.iinfo(np.intp).max // 8)
+
+
 def test_text_rows_of_one_byte_tokens_fit_the_header_bound(tmp_path):
     # each row is 2 (dim + 1) bytes, the last one less its newline
     path = tmp_path / "tight.txt"

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from neuralbrane.graph import Rows
+from neuralbrane import model
+from neuralbrane.graph import Rows, from_edges
 from neuralbrane.model import forward, init_parameters
 from neuralbrane.sampler import SamplingError, Triplet, TripletSampler
 from neuralbrane.synthetic import gnm_random_graph, planted_partition
@@ -99,9 +100,8 @@ class TestTripletLoss:
 
     def test_ranking_term_vanishes_monotonically_with_margin(self):
         from neuralbrane.trainer import _softplus
-        margins = np.linspace(0.0, 60.0, 200)
-        values = [_softplus(-m) for m in margins]
-        assert all(b <= a for a, b in zip(values, values[1:]))
+        values = _softplus(-np.linspace(0.0, 60.0, 200))
+        assert np.all(np.diff(values) <= 0.0)
         assert values[-1] < 1e-25
 
     def test_matches_naive_oracle(self):
@@ -182,6 +182,22 @@ def sum_of_single_gradients(params, g, batch, reg, pooling):
     return total
 
 
+def assert_matches_per_chunk_reference(params, g, batch, reg, pooling):
+    """Every gradient and loss of ``batch_gradients`` within 1e-12 relative
+    of ``per_chunk_batch_gradients``, and with reg 0 the same entries
+    routed to."""
+    grads, losses = batch_gradients(params, g, batch, reg, pooling)
+    want, want_losses = per_chunk_batch_gradients(params, g, batch, reg, pooling)
+    for got, expected in zip(dense_gradients(params, grads), want):
+        scale = max(float(np.max(np.abs(expected))), 1e-300)
+        assert float(np.max(np.abs(got - expected))) / scale <= 1e-12
+        if reg == 0.0:
+            assert np.array_equal(got != 0.0, expected != 0.0)
+    for (bpr, l2), (want_bpr, want_l2) in zip(losses, want_losses):
+        assert relative_error(bpr, want_bpr, floor=1e-300) <= 1e-12
+        assert relative_error(l2, want_l2, floor=1e-300) <= 1e-12
+
+
 class TestBatchGradients:
     @staticmethod
     def instance(seed):
@@ -232,20 +248,49 @@ class TestBatchGradients:
             params = init_parameters(30, 8, 3, 4, 6, seed=seed)
             params.P, params.P_prime = params.P.round(1), params.P_prime.round(1)
             batch = TripletSampler(g, seed=seed).sample_batch(60)
-            grads, losses = batch_gradients(params, g, batch, reg, pooling)
-            want, want_losses = per_chunk_batch_gradients(params, g, batch, reg, pooling)
-            for got, expected in zip(dense_gradients(params, grads), want):
-                scale = max(float(np.max(np.abs(expected))), 1e-300)
-                assert float(np.max(np.abs(got - expected))) / scale <= 1e-12
-                if reg == 0.0:
-                    assert np.array_equal(got != 0.0, expected != 0.0)
-            for (bpr, l2), (want_bpr, want_l2) in zip(losses, want_losses):
-                assert relative_error(bpr, want_bpr, floor=1e-300) <= 1e-12
-                assert relative_error(l2, want_l2, floor=1e-300) <= 1e-12
+            assert_matches_per_chunk_reference(params, g, batch, reg, pooling)
             for u in np.unique(batch):
                 block = params.P[g.attributes[u]]
                 ties += int(np.sum((block == block.max(axis=0)).sum(axis=0) >= 2))
         assert ties >= 20
+
+    @pytest.mark.parametrize("pooling", ["max", "sum"])
+    @pytest.mark.parametrize("reg", [0.0, 0.05])
+    def test_matches_per_chunk_reference_at_scale(self, pooling, reg):
+        # attribute 0 is carried by every node, and node 0's neighbor row,
+        # longer than _POOL_ROWS, sends the sum routing through two slices
+        n = model._POOL_ROWS + 100
+        rng = np.random.default_rng(11)
+        ring = np.arange(1, n - 1)
+        src = np.concatenate([np.zeros(n - 1, dtype=np.int64), ring])
+        dst = np.concatenate([np.arange(1, n), ring + 1])
+        attr_node = np.concatenate([np.arange(n), rng.integers(0, n, 3 * n)])
+        attr_id = np.concatenate([np.zeros(n, dtype=np.int64), rng.integers(1, 8, 3 * n)])
+        g = from_edges(n, 8, src, dst, np.ones(len(src)), attr_node, attr_id)
+        assert len(g.neighbors[0]) > model._POOL_ROWS
+        params = init_parameters(n, 8, 3, 4, 6, seed=4)
+        batch = np.vstack([TripletSampler(g, seed=4).sample_batch(40), [(1, 0, 5), (7, 0, 2)]])
+        assert_matches_per_chunk_reference(params, g, batch, reg, pooling)
+
+    @pytest.mark.parametrize("pooling", ["max", "sum"])
+    def test_extreme_margins_stay_finite(self, pooling):
+        # parameters scaled until margins pass +/-745, where exp() of the
+        # margin would overflow and the sigmoid saturates in float64
+        g = gnm_random_graph(nodes=30, edges=70, attributes=8, attrs_per_node=4, seed=3)
+        params = init_parameters(30, 8, 3, 4, 6, seed=3)
+        for block in (params.P, params.P_prime, params.W, params.b):
+            block *= 30.0
+        batch = TripletSampler(g, seed=3).sample_batch(40)
+        h = forward(params, g, np.arange(30), pooling).h_vec
+        margin = np.einsum("ij,ij->i", h[batch[:, 0]], h[batch[:, 1]] - h[batch[:, 2]])
+        assert margin.max() > 745.0 and margin.min() < -745.0
+        with np.errstate(over="raise", invalid="raise"):
+            grads, losses = batch_gradients(params, g, batch, 0.05, pooling)
+        assert np.isfinite(losses).all() and grads.all_finite()
+        ranking = losses[:, 0]
+        assert np.all(ranking[margin > 745.0] == 0.0)
+        np.testing.assert_allclose(ranking[margin < -745.0], -margin[margin < -745.0],
+                                   rtol=1e-12)
 
     @pytest.mark.parametrize("pooling", ["max", "sum"])
     def test_update_moves_only_looked_up_rows(self, pooling):
