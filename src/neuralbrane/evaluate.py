@@ -1,8 +1,9 @@
 """Downstream quality checks for node embeddings.
 
 Classification: random train/test splits at several ratios, a softmax
-(multinomial logistic regression) classifier trained by full-batch gradient
-descent, scored with Macro-F1.  Clustering: repeated k-means with k set to
+(multinomial logistic regression) classifier with an L2 penalty solved by
+L-BFGS until its max |gradient| is at most ``LOGREG_TOLERANCE``, scored
+with Macro-F1.  Clustering: repeated k-means with k set to
 the ground-truth class count, scored with NMI and Purity.  A 2-component PCA
 projection is available for plotting.
 
@@ -15,13 +16,18 @@ ValueError rather than as numpy warnings and nan results.
 from __future__ import annotations
 
 import contextlib
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+log = logging.getLogger(__name__)
+
 LOGREG_PENALTY = 1e-4
-LOGREG_ITERATIONS = 500
-LOGREG_LEARNING_RATE = 0.1
+LOGREG_TOLERANCE = 1e-5
+LOGREG_MAX_ITERATIONS = 1000
+_LBFGS_MEMORY = 10
+_ARMIJO = 1e-4  # sufficient-decrease fraction of the backtracking line search
 
 
 @dataclass
@@ -112,41 +118,54 @@ def _softmax_step(features: np.ndarray, targets: np.ndarray, num_classes: int,
     shared rows, as a function of their bias-augmented weights.
 
     ``train`` is the (fits × n) boolean mask of each fit's train rows.  The
-    returned ``step(weights)`` takes weights of shape (fits, classes, dim + 1)
-    and gives each fit's mean cross-entropy over its train rows plus an L2
-    penalty on its non-bias weights, and the gradient of that: (fits,)
-    losses and a gradient shaped like the weights.
+    returned ``step(weights, fits)`` evaluates the fits whose indices
+    ``fits`` lists (every fit by default) at weights of shape
+    (len(fits), classes, dim + 1).  It gives each fit's mean cross-entropy
+    over its train rows plus an L2 penalty on its non-bias weights, and the
+    gradient of that: (len(fits),) losses and a gradient shaped like the
+    weights.
 
-    It works class-major on one (fits, classes, n) block, in place: logits
-    from one (fits·classes × dim) @ (dim × n) GEMM plus the bias column,
-    softmax along the class axis, then the residual, zeroed outside each
-    fit's train rows, into one (fits·classes × n) @ (n × dim) GEMM and the
-    bias gradient's row sums.  Every fit computes every row, so a non-finite
-    value in any row reaches every fit.
+    It works class-major on the leading fits of one (fits, classes, n) block,
+    in place: logits from one (fits·classes × dim) @ (dim × n) GEMM plus the
+    bias column, softmax along the class axis, then the residual, zeroed
+    outside each fit's train rows, into one (fits·classes × n) @ (n × dim)
+    GEMM and the bias gradient's row sums.  The block is allocated once, so
+    evaluating fewer fits uses less of it rather than a new one.  Every fit
+    computes every row, so a non-finite value in any row reaches every fit.
     """
-    fits, n = train.shape
+    n = train.shape[1]
     dim = features.shape[1]
-    fit_of, row_of = np.nonzero(train)
-    hits = (fit_of * num_classes + targets[row_of]) * n + row_of  # train rows at their class
-    starts = np.searchsorted(fit_of, np.arange(fits))
-    weight = train.astype(np.float64)
-    counts = weight.sum(axis=1)
-    block = np.empty((fits, num_classes, n))
-    logits = block.reshape(fits * num_classes, n)
-    flat = block.reshape(-1)
+    block = np.empty((len(train), num_classes, n))
+    subset = {}  # the train-row indexing of the set of fits last evaluated
 
-    def step(weights: np.ndarray):
-        probs = block  # a local name: the in-place operators below rebind it
-        np.matmul(weights[:, :, :-1].reshape(fits * num_classes, dim), features.T, out=logits)
+    def rows_of(fits: np.ndarray):
+        key = fits.tobytes()
+        if key not in subset:
+            mask = train[fits]
+            fit_of, row_of = np.nonzero(mask)
+            # each train row's entry at its own class in the flat block
+            hits = (fit_of * num_classes + targets[row_of]) * n + row_of
+            subset.clear()
+            subset[key] = (hits, np.searchsorted(fit_of, np.arange(len(fits))),
+                           mask[:, None, :], mask.sum(axis=1).astype(np.float64))
+        return subset[key]
+
+    def step(weights: np.ndarray, fits: np.ndarray | None = None):
+        hits, starts, mask, counts = rows_of(np.arange(len(train)) if fits is None else fits)
+        k = len(counts)
+        probs = block[:k]
+        logits = probs.reshape(k * num_classes, n)
+        flat = probs.reshape(-1)
+        np.matmul(weights[:, :, :-1].reshape(k * num_classes, dim), features.T, out=logits)
         probs += weights[:, :, -1:]
         probs -= probs.max(axis=1, keepdims=True)
         np.exp(probs, out=probs)
         probs *= 1.0 / probs.sum(axis=1, keepdims=True)
         loss = -np.add.reduceat(np.log(np.maximum(flat[hits], 1e-300)), starts) / counts
-        probs *= weight[:, None, :]
+        probs *= mask
         flat[hits] -= 1.0
         grad = np.empty_like(weights)
-        grad[:, :, :-1] = (logits @ features).reshape(fits, num_classes, dim)
+        grad[:, :, :-1] = (logits @ features).reshape(k, num_classes, dim)
         grad[:, :, -1] = probs.sum(axis=2)
         grad /= counts[:, None, None]
         if penalty:
@@ -160,18 +179,27 @@ def _softmax_step(features: np.ndarray, targets: np.ndarray, num_classes: int,
 def train_linear_classifier(features: np.ndarray, targets: np.ndarray,
                             num_classes: int, *, train: np.ndarray | None = None,
                             penalty: float = LOGREG_PENALTY,
-                            iterations: int = LOGREG_ITERATIONS,
-                            learning_rate: float = LOGREG_LEARNING_RATE) -> np.ndarray:
-    """Full-batch gradient descent on softmax cross-entropy, for one fit or
-    for several fits that share their rows.
+                            stats: list | None = None) -> np.ndarray:
+    """Softmax cross-entropy (``_softmax_step``) minimised by L-BFGS, for one
+    fit or for several fits that share their rows.
 
     ``features`` (n × dim) are used raw (no scaling), and ``targets`` holds
     each row's class.  ``train`` is the boolean mask of the rows a fit
     trains on: shape (n,) for one fit, (fits, n) for several, and every row
     for one fit by default.  Returns bias-augmented weights of shape
     (num_classes, dim + 1) per fit: (fits, num_classes, dim + 1) for a
-    2-d mask.  All fits take each step together (``_softmax_step``); a fit
-    whose loss goes non-finite raises RuntimeError.
+    2-d mask.  Each fit starts from zero weights and stops once the max
+    |gradient| of its objective is at most ``LOGREG_TOLERANCE`` (``_lbfgs``);
+    one that does not within ``LOGREG_MAX_ITERATIONS`` evaluations, or
+    whose loss goes non-finite, raises RuntimeError.  ``stats``, when
+    given, receives one (iterations, final max |gradient|) pair per fit.
+
+    The solver's variables take the bias at the rows' mean rather than at
+    the origin.  The bias is not penalised, so this changes neither the
+    objective nor its optimum, only the path to it: on CiteSeer-shape
+    embeddings, whose features have means up to 0.85 beside deviations of
+    0.4 at most, it cut the iterations per fit from 150-210 to 95-130
+    after 2 training epochs and from 650-980 to 100-115 after 30.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets)
@@ -181,13 +209,116 @@ def train_linear_classifier(features: np.ndarray, targets: np.ndarray,
     if any(len(np.unique(targets[m])) < 2 for m in masks):
         raise ValueError("training set must contain at least two classes")
     step = _softmax_step(features, targets, num_classes, masks, penalty)
-    weights = np.zeros((len(masks), num_classes, dim + 1))
-    for _ in range(iterations):
-        loss, grad = step(weights)
-        if not np.isfinite(loss).all():
+    shape = (num_classes, dim + 1)
+    centre = features.mean(axis=0)
+
+    def weights_of(x):
+        # the solver's bias is the bias at the rows' mean: b = c - W·centre
+        weights = x.reshape(len(x), *shape).copy()
+        weights[:, :, -1] -= weights[:, :, :-1] @ centre
+        return weights
+
+    def centred_step(x, fits):
+        loss, grad = step(weights_of(x), fits)
+        worst = np.abs(grad).max(axis=(1, 2))
+        grad[:, :, :-1] -= grad[:, :, -1:] * centre
+        return loss, grad.reshape(len(x), -1), worst
+
+    x, iterations, gradient = _lbfgs(centred_step, len(masks), shape[0] * shape[1])
+    if stats is not None:
+        stats.extend(zip(iterations.tolist(), gradient.tolist()))
+    return weights_of(x).reshape(mask.shape[:-1] + shape)
+
+
+def _lbfgs(step, fits: int, size: int):
+    """Minimise ``fits`` objectives of ``size`` variables each from zero by
+    L-BFGS (Liu & Nocedal, 1989), all of them through one ``step(x, ids)``
+    call per round.  ``step`` returns, for the fits ``ids`` at the rows of
+    ``x``, their losses, their (len(ids), size) gradients and the max
+    |gradient| that decides when a fit has converged.
+
+    Each fit keeps its own last ``_LBFGS_MEMORY`` step and gradient-change
+    pairs (``_two_loop``) and its own step length: a trial step that fails
+    the Armijo test is halved, one that passes is taken, and the next trial
+    follows the new direction at length 1.  The first direction is steepest
+    descent, at length at most 1 / ‖gradient‖.  A fit drops out of the
+    rounds once its max |gradient| is at most ``LOGREG_TOLERANCE``; the
+    state of the fits left moves up into the leading rows in place, so no
+    round allocates the pair history again.  Every evaluation counts as one
+    of the fit's iterations.  Returns the (fits, size) minimisers, each
+    fit's iterations and its final max |gradient|.
+    """
+    solution = np.empty((fits, size))
+    final = np.empty(fits)
+    iterations = np.zeros(fits, dtype=np.intp)
+
+    def evaluate(x, ids):
+        result = step(x, ids)
+        iterations[ids] += 1
+        if not np.isfinite(result[0]).all():
             raise RuntimeError("classifier loss went non-finite")
-        weights -= learning_rate * grad
-    return weights.reshape(mask.shape[:-1] + weights.shape[1:])
+        return result
+
+    ids = np.arange(fits)  # the fit of each row of the state below
+    x = np.zeros((fits, size))
+    loss, grad, worst = evaluate(x, ids)
+    # each row's (s, y) pairs, newest last, and their 1 / s·y (0 in a slot not
+    # yet filled); the pairs only shape the search direction, so they are
+    # kept in float32, which halves the largest block a stacked solve holds
+    pairs = np.zeros((2, fits, _LBFGS_MEMORY, size), dtype=np.float32)
+    rho = np.zeros((fits, _LBFGS_MEMORY))
+    gamma = np.ones(fits)  # s·y / y·y of each row's newest pair: H₀ = γI
+    direction = -grad
+    length = 1.0 / np.maximum(1.0, np.linalg.norm(grad, axis=1))
+    while True:
+        done = worst <= LOGREG_TOLERANCE
+        if done.any():
+            solution[ids[done]], final[ids[done]] = x[done], worst[done]
+            keep = np.flatnonzero(~done)
+            for row, old in enumerate(keep):
+                pairs[:, row] = pairs[:, old]
+            pairs = pairs[:, :len(keep)]
+            ids, x, loss, grad, worst, rho, gamma, direction, length = (
+                a[keep] for a in (ids, x, loss, grad, worst, rho, gamma, direction, length))
+            if not len(ids):
+                return solution, iterations, final
+        if iterations[ids].max() >= LOGREG_MAX_ITERATIONS:
+            raise RuntimeError(f"classifier did not reach max |gradient| <= "
+                               f"{LOGREG_TOLERANCE:g} in {LOGREG_MAX_ITERATIONS} iterations")
+        trial = x + length[:, None] * direction
+        trial_loss, trial_grad, trial_worst = evaluate(trial, ids)
+        taken = trial_loss <= loss + _ARMIJO * length * (grad * direction).sum(axis=1)
+        s, y = trial - x, trial_grad - grad
+        sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
+        for row in np.flatnonzero(taken & (sy > np.finfo(np.float64).eps * yy)):
+            pairs[:, row, :-1] = pairs[:, row, 1:]
+            pairs[:, row, -1] = s[row], y[row]
+            rho[row, :-1] = rho[row, 1:]
+            rho[row, -1] = 1.0 / sy[row]
+            gamma[row] = sy[row] / yy[row]
+        x[taken], loss[taken], grad[taken] = trial[taken], trial_loss[taken], trial_grad[taken]
+        worst[taken] = trial_worst[taken]
+        direction[taken] = -_two_loop(grad, pairs, rho, gamma)[taken]
+        length = np.where(taken, 1.0, 0.5 * length)
+
+
+def _two_loop(grad: np.ndarray, pairs: np.ndarray, rho: np.ndarray,
+              gamma: np.ndarray) -> np.ndarray:
+    """H·grad for each row by the L-BFGS two-loop recursion (Nocedal &
+    Wright, Algorithm 7.4) over the row's pairs, oldest first, from
+    H₀ = γI.  An unfilled slot holds zeros and rho 0, so it changes
+    nothing."""
+    s, y = pairs
+    q = grad.copy()
+    alpha = np.empty(rho.shape)
+    for i in reversed(range(_LBFGS_MEMORY)):
+        alpha[:, i] = rho[:, i] * (s[:, i] * q).sum(axis=1)
+        q -= alpha[:, i, None] * y[:, i]
+    q *= gamma[:, None]
+    for i in range(_LBFGS_MEMORY):
+        beta = rho[:, i] * (y[:, i] * q).sum(axis=1)
+        q += (alpha[:, i] - beta)[:, None] * s[:, i]
+    return q
 
 
 def predict_linear(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -396,19 +527,6 @@ def project_2d(points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return out
 
 
-def _train_splits(features, targets, train, num_classes) -> np.ndarray:
-    """Weights (fits, classes, dim + 1) of one classifier per row of the
-    (fits × n) mask ``train``.  A stacked step computes every row for every
-    fit, so the fits train together only when each trains on at least half
-    of the rows; otherwise each fit trains alone on its own rows.  At
-    CiteSeer shape, 10 fits took 2.8-3.1 s stacked against 1.7-2.0 s alone
-    on 30 % of the rows, and 3.1 s against 3.7 s on 50 % (one BLAS thread)."""
-    if 2 * int(train.sum(axis=1).min()) >= train.shape[1]:
-        return train_linear_classifier(features, targets, num_classes, train=train)
-    return np.stack([train_linear_classifier(features[fit], targets[fit], num_classes)
-                     for fit in train])
-
-
 @_values_in_range()
 def run_classification_eval(features: np.ndarray, labels: np.ndarray,
                             ratios=(0.3, 0.5, 0.7), repeats: int = 10,
@@ -418,7 +536,9 @@ def run_classification_eval(features: np.ndarray, labels: np.ndarray,
     ``features`` rows must align with ``labels``; unlabeled entries (-1) are
     ignored, and the class ids need not run 0..K-1.  Splits are seeded
     deterministically per (ratio, repeat), and the repeats of a ratio are
-    trained as one group of fits over the labeled rows.
+    trained as one group of fits over the labeled rows.  Each ratio logs one
+    INFO line with its fits' range of iterations and their largest final
+    max |gradient|.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, not {repeats}")
@@ -436,7 +556,13 @@ def run_classification_eval(features: np.ndarray, labels: np.ndarray,
             split_seed = np.random.SeedSequence((seed, r_idx, rep))
             train_idx, _ = split_train_test(labels, ratio, seed=split_seed)
             train[rep, np.searchsorted(labeled, train_idx)] = True
-        predicted = predict_linear(_train_splits(rows, targets, train, num_classes), rows)
+        stats = []
+        weights = train_linear_classifier(rows, targets, num_classes, train=train, stats=stats)
+        predicted = predict_linear(weights, rows)
+        iterations, gradient = np.array(stats).T
+        log.info("classify @ train %g: %d fits converged in %d-%d iterations, "
+                 "max |gradient| at most %.2e", ratio, repeats, iterations.min(),
+                 iterations.max(), gradient.max())
         scores = [macro_f1(targets[~fit], guess[~fit], num_classes)
                   for fit, guess in zip(train, predicted)]
         means.append(float(np.mean(scores)))

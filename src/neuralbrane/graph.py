@@ -24,6 +24,7 @@ one flat ``values`` array with every node's entries end to end, cut by n+1
 
 from __future__ import annotations
 
+import io
 import logging
 from array import array
 from contextlib import contextmanager
@@ -281,11 +282,13 @@ def from_edges(n: int, m: int, src, dst, weight, attr_node, attr_id,
 
 
 @contextmanager
-def open_text(path: Path, error: type[ValueError] = GraphFormatError):
-    """``path`` opened as UTF-8 text; a byte that does not decode, wherever
+def open_text(path: Path, error: type[ValueError] = GraphFormatError, binary=None):
+    """``path`` opened as UTF-8 text, or ``binary``, a binary handle already
+    open on it, read as UTF-8 text; a byte that does not decode, wherever
     it is read, raises ``error`` naming the file."""
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        with (path.open("r", encoding="utf-8") if binary is None
+              else io.TextIOWrapper(binary, encoding="utf-8")) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text "

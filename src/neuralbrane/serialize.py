@@ -301,9 +301,11 @@ def _format_rows(ids: np.ndarray, vectors: np.ndarray) -> bytes:
     return b"".join(pieces)
 
 
-def read_embedding_text(path) -> EmbeddingTable:
+def read_embedding_text(path, binary=None) -> EmbeddingTable:
+    """The table in the text file ``path``, read from ``binary`` if given, a
+    binary handle already open on it at its start."""
     path = Path(path)
-    with open_text(path, SerializationError) as fh:
+    with open_text(path, SerializationError, binary) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise SerializationError(f"{path}: expected '<n> <dim>' header")
@@ -390,22 +392,30 @@ def write_nbrn(fh, version: int, dims, blocks=()) -> None:
         fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
-def read_nbrn(path, layouts: dict, payload_size) -> tuple[int, tuple[int, ...], np.ndarray]:
+def read_nbrn(path, layouts: dict, payload_size,
+              binary=None) -> tuple[int, tuple[int, ...], np.ndarray]:
     """Read an NBRN container whose version is a key of ``layouts``, which
     gives the number of u32 dims that version has, and whose float64 payload
     holds ``payload_size(*dims)`` values; returns (version, dims, flat payload).
+    It reads ``binary``, if given, a handle already open on ``path`` at its
+    start.
 
-    The file must be exactly that long, so a short file or trailing bytes
-    raise SerializationError.  The length is checked before the version, by
-    the newest layout for a version not in ``layouts``: an NBRN file of the
-    other kind (a checkpoint read as an embedding, say) reads as the wrong
-    length, and only a file of the right length reads as the wrong version.
+    The file must be a regular file exactly that long, so a pipe, a short
+    file or trailing bytes raise SerializationError.  The length is checked
+    before the version, by the newest layout for a version not in
+    ``layouts``: an NBRN file of the other kind (a checkpoint read as an
+    embedding, say) reads as the wrong length, and only a file of the right
+    length reads as the wrong version.
     """
     path = Path(path)
-    with path.open("rb") as fh:
+    with path.open("rb") if binary is None else contextlib.nullcontext(binary) as fh:
         magic = fh.read(4)
         if magic != MAGIC:
             raise SerializationError(f"{path}: bad magic {magic!r}")
+        held = os.fstat(fh.fileno())
+        if not stat.S_ISREG(held.st_mode):
+            raise SerializationError(f"{path}: a binary file must be a regular file, whose "
+                                     "length is checked against its header, not a pipe")
         head = fh.read(4)
         version = struct.unpack("<I", head)[0] if len(head) == 4 else None
         fields = layouts.get(version, layouts[max(layouts)])
@@ -414,7 +424,7 @@ def read_nbrn(path, layouts: dict, payload_size) -> tuple[int, tuple[int, ...], 
             raise SerializationError(f"{path}: truncated header")
         dims = struct.unpack(f"<{fields}I", header)
         count = payload_size(*dims)
-        extra = os.fstat(fh.fileno()).st_size - fh.tell() - 8 * count
+        extra = held.st_size - fh.tell() - 8 * count
         if extra < 0:
             raise SerializationError(f"{path}: truncated payload")
         if extra > 0:
@@ -441,18 +451,20 @@ def write_embedding_binary(blocks, path, shape=None) -> None:
         _write_blocks(blocks, shape, write, path)
 
 
-def read_embedding_binary(path) -> EmbeddingTable:
-    _, (n, dim), payload = read_nbrn(path, {EMBEDDING_VERSION: 2}, lambda n, dim: n * dim)
+def read_embedding_binary(path, binary=None) -> EmbeddingTable:
+    _, (n, dim), payload = read_nbrn(path, {EMBEDDING_VERSION: 2}, lambda n, dim: n * dim,
+                                     binary)
     vectors = payload.reshape(n, dim)
     _check_finite(path, vectors)
     return EmbeddingTable(vectors=vectors)
 
 
 def read_embedding(path) -> EmbeddingTable:
-    """Load an embedding file, sniffing text versus binary by magic bytes."""
+    """Load an embedding file, text or binary by its magic bytes.  The path
+    is opened once and the bytes are peeked on the handle that is then read,
+    so a text embedding can come from a pipe."""
     path = Path(path)
     with path.open("rb") as fh:
-        magic = fh.read(4)
-    if magic == MAGIC:
-        return read_embedding_binary(path)
-    return read_embedding_text(path)
+        if fh.peek(len(MAGIC))[:len(MAGIC)] == MAGIC:
+            return read_embedding_binary(path, fh)
+        return read_embedding_text(path, fh)

@@ -353,9 +353,12 @@ def rowmajor_softmax_cross_entropy(weights, features, targets, num_classes, pena
 def perfit_train_linear_classifier(features, targets, num_classes, penalty=1e-4,
                                    iterations=500, learning_rate=0.1):
     """The one-fit-at-a-time trainer that ``evaluate.train_linear_classifier``
-    replaced: full-batch gradient descent on the class-major cross-entropy
-    over a transposed bias-augmented design holding only the fit's rows,
-    raising RuntimeError once the loss goes non-finite."""
+    replaced: 500 steps of full-batch gradient descent at rate 0.1 on the
+    class-major cross-entropy over a transposed bias-augmented design
+    holding only the fit's rows, raising RuntimeError once the loss goes
+    non-finite.  It stops far from the optimum, so it serves as an upper
+    bound on a converged fit's objective and as acceptance criterion 3's
+    fixed-budget probe."""
     n = features.shape[0]
     design = np.vstack([features.T, np.ones((1, n))])
     onehot = np.zeros((num_classes, n))
@@ -377,12 +380,14 @@ def perfit_train_linear_classifier(features, targets, num_classes, penalty=1e-4,
     return weights
 
 
-def perfit_classification_scores(features, labels, ratios, repeats, seed, split):
-    """Each ratio's Macro-F1 scores as the per-fit evaluation computed them:
-    one split, one ``perfit_train_linear_classifier`` fit on the split's
-    train rows and predictions on its test rows per (ratio, repeat), with
-    the class ids first mapped to 0..K-1.  ``split`` is the package's
-    ``split_train_test``, so both sides draw the same splits."""
+def perfit_classification_scores(features, labels, ratios, repeats, seed, split,
+                                 fit=perfit_train_linear_classifier):
+    """Each ratio's Macro-F1 scores as a per-fit evaluation computes them:
+    one split, one ``fit(features, targets, num_classes)`` on the split's
+    train rows alone and predictions on its test rows per (ratio, repeat),
+    with the class ids first mapped to 0..K-1.  ``split`` is the package's
+    ``split_train_test``, so both sides draw the same splits; ``fit`` is
+    GD-500 by default."""
     labels = np.asarray(labels)
     labeled = labels >= 0
     classes, dense = np.unique(labels[labeled], return_inverse=True)
@@ -393,7 +398,7 @@ def perfit_classification_scores(features, labels, ratios, repeats, seed, split)
         row = []
         for rep in range(repeats):
             train, test = split(mapped, ratio, seed=np.random.SeedSequence((seed, r_idx, rep)))
-            weights = perfit_train_linear_classifier(features[train], mapped[train], len(classes))
+            weights = fit(features[train], mapped[train], len(classes))
             augmented = np.hstack([features[test], np.ones((len(test), 1))])
             predicted = np.argmax(augmented @ weights.T, axis=1)
             row.append(naive_macro_f1(mapped[test].tolist(), predicted.tolist(), len(classes)))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -131,24 +133,54 @@ class TestLinearClassifier:
             assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 
+def objective(weights, X, y, classes, penalty=evaluate.LOGREG_PENALTY):
+    """A fit's loss and gradient on its own rows, by the row-major oracle."""
+    return rowmajor_softmax_cross_entropy(weights, X, y, classes, penalty)
+
+
 class TestStackedTrainerMatchesPerFitLoop:
-    """``train_linear_classifier`` takes the steps of several fits together
-    over shared rows; ``perfit_train_linear_classifier`` is the loop over one
-    fit's own rows that it replaced.  Summation order differs, so weights
-    agree to 1e-12 relative rather than bit for bit."""
+    """``train_linear_classifier`` solves each fit by L-BFGS until its max
+    |gradient| is at most ``LOGREG_TOLERANCE``, several fits stacked over
+    shared rows.  Checked against references that share none of its code:
+    the row-major loss and gradient oracle on each fit's own rows, and
+    GD-500 (``perfit_train_linear_classifier``), whose objective a converged
+    fit cannot exceed; and against the same solve one fit at a time."""
 
     @pytest.mark.parametrize("fits", [1, 3, 10])
     @pytest.mark.parametrize("penalty", [0.0, 1e-4])
     def test_weights(self, rng, fits, penalty):
-        X = rng.normal(size=(90, 5)) * 2.0
+        X = rng.normal(size=(90, 5)) * 2.0 + 1.5
         y = rng.integers(0, 4, size=90)
         # train sets of 20 % to 90 % of the rows
         train = rng.random((fits, 90)) < np.linspace(0.2, 0.9, fits)[:, None]
-        weights = train_linear_classifier(X, y, 4, train=train, penalty=penalty)
-        assert weights.shape == (fits, 4, 6)
-        for fit, got in zip(train, weights):
-            ref = perfit_train_linear_classifier(X[fit], y[fit], 4, penalty=penalty)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        stats = []
+        weights = train_linear_classifier(X, y, 4, train=train, penalty=penalty, stats=stats)
+        assert weights.shape == (fits, 4, 6) and len(stats) == fits
+        for fit, got, (iterations, reported) in zip(train, weights, stats):
+            loss, grad = objective(got, X[fit], y[fit], 4, penalty)
+            assert np.max(np.abs(grad)) <= evaluate.LOGREG_TOLERANCE
+            assert reported == pytest.approx(np.max(np.abs(grad)), rel=1e-6, abs=1e-12)
+            assert 1 < iterations < evaluate.LOGREG_MAX_ITERATIONS
+            gd500 = perfit_train_linear_classifier(X[fit], y[fit], 4, penalty=penalty)
+            assert loss <= objective(gd500, X[fit], y[fit], 4, penalty)[0]
+
+    @pytest.mark.parametrize("fits", [3, 10])
+    def test_stacked_matches_one_at_a_time(self, rng, fits):
+        # overlapping classes and a penalty of 1e-2 keep the curvature up, so
+        # a max |gradient| of 1e-5 pins each objective to about 1e-9
+        X = rng.normal(size=(300, 6)) + np.repeat(rng.normal(size=(4, 6)) * 0.5, 75, axis=0)
+        y = np.repeat(np.arange(4), 75)
+        train = rng.random((fits, 300)) < np.linspace(0.3, 0.9, fits)[:, None]
+        stacked = train_linear_classifier(X, y, 4, train=train, penalty=1e-2)
+        for fit, got in zip(train, stacked):
+            alone = train_linear_classifier(X[fit], y[fit], 4, penalty=1e-2)
+            assert np.array_equal(predict_linear(got, X), predict_linear(alone, X))
+            (f_got, g_got), (f_alone, g_alone) = (objective(w, X[fit], y[fit], 4, 1e-2)
+                                                  for w in (got, alone))
+            assert relative_error(f_got, f_alone) <= 1e-8
+            # the objective is convex, so each gradient bounds the difference
+            assert abs(f_got - f_alone) <= max(np.sum(g_got * (got - alone)),
+                                               np.sum(g_alone * (alone - got)))
 
     def test_one_fit_mask_and_default(self, rng):
         X = rng.normal(size=(40, 3))
@@ -157,18 +189,36 @@ class TestStackedTrainerMatchesPerFitLoop:
         masked = train_linear_classifier(X, y, 3, train=fit)
         own_rows = train_linear_classifier(X[fit], y[fit], 3)
         assert masked.shape == own_rows.shape == (3, 4)
-        assert np.max(np.abs(masked - own_rows)) <= 1e-12 * np.max(np.abs(own_rows))
+        assert relative_error(objective(masked, X[fit], y[fit], 3)[0],
+                              objective(own_rows, X[fit], y[fit], 3)[0]) <= 1e-8
         assert np.array_equal(train_linear_classifier(X, y, 3),
                               train_linear_classifier(X, y, 3, train=np.ones((1, 40), bool))[0])
 
+    def test_fit_reaching_the_iteration_cap_raises(self, rng, monkeypatch):
+        X = rng.normal(size=(30, 3))
+        y = np.arange(30) % 3
+        monkeypatch.setattr(evaluate, "LOGREG_MAX_ITERATIONS", 2)
+        with pytest.raises(RuntimeError, match="in 2 iterations"):
+            train_linear_classifier(X, y, 3, train=np.ones((3, 30), dtype=bool))
+
+    def test_fit_already_at_its_optimum_stops_at_once(self):
+        # balanced classes on identical rows: zero weights have zero gradient,
+        # so the first step's length 1 / max(1, ‖gradient‖) must not divide by 0
+        X = np.ones((8, 2))
+        y = np.arange(8) % 2
+        stats = []
+        with np.errstate(all="raise"):
+            weights = train_linear_classifier(X, y, 2, stats=stats)
+        assert stats == [(1, 0.0)] and not weights.any()
+
     def test_one_fit_going_non_finite_raises(self, rng):
         X = rng.normal(size=(30, 3))
-        X[0] = 1e200  # only the second fit trains on row 0, and its step overflows
+        X[0] = np.inf  # only the second fit trains on row 0; every fit computes it
         y = np.arange(30) % 3
         train = np.ones((3, 30), dtype=bool)
         train[[0, 2], 0] = False
         with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="non-finite"):
-            train_linear_classifier(X, y, 3, train=train, iterations=5)
+            train_linear_classifier(X, y, 3, train=train)
 
     def test_single_class_fit_in_stack_rejected(self, rng):
         X = rng.normal(size=(10, 3))
@@ -386,15 +436,28 @@ class TestReports:
         report = run_classification_eval(X, y, ratios=(0.5,), repeats=10, seed=3)
         assert abs(report.macro_f1_mean[0] - 0.25) < 0.1
 
-    def test_matches_per_fit_evaluation(self, rng):
-        # ratio 0.3 trains each fit alone, 0.5 and 0.7 stack the repeats
+    def test_matches_per_fit_evaluation(self, rng, caplog):
+        # the stacked, masked fits of each ratio against one fit at a time on
+        # its own rows, with the oracle's own splits, class mapping and F1
         X = rng.normal(size=(120, 6)) + np.repeat(rng.normal(size=(3, 6)), 40, axis=0)
         y = np.repeat(np.arange(3), 40)
         y[rng.random(120) < 0.1] = -1
-        report = run_classification_eval(X, y, ratios=(0.3, 0.5, 0.7), repeats=3, seed=5)
-        expected = perfit_classification_scores(X, y, (0.3, 0.5, 0.7), 3, 5, split_train_test)
+        with caplog.at_level("INFO", logger="neuralbrane.evaluate"):
+            report = run_classification_eval(X, y, ratios=(0.3, 0.5, 0.7), repeats=3, seed=5)
+        expected = perfit_classification_scores(X, y, (0.3, 0.5, 0.7), 3, 5, split_train_test,
+                                                fit=train_linear_classifier)
         for got, ref in zip(report.macro_f1_runs, expected):
             assert np.max(np.abs(np.array(got) - ref)) <= 1e-12
+        # one line per ratio: the fits' iteration range and worst final gradient
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 3
+        for ratio, line in zip((0.3, 0.5, 0.7), lines):
+            found = re.fullmatch(rf"classify @ train {ratio}: 3 fits converged in (\d+)-(\d+) "
+                                 r"iterations, max \|gradient\| at most (\S+)", line)
+            assert found, line
+            low, high, worst = int(found[1]), int(found[2]), float(found[3])
+            assert 1 < low <= high < evaluate.LOGREG_MAX_ITERATIONS
+            assert worst <= evaluate.LOGREG_TOLERANCE
 
     def test_class_ids_need_not_run_from_zero(self, rng):
         X, y = blobs(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.5)], per_class=40, scale=1.5)

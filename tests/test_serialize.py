@@ -142,6 +142,45 @@ def test_text_from_a_pipe_has_no_size_to_check(tmp_path):
     assert not writer.is_alive()
 
 
+def read_from_pipe(path, content: bytes) -> dict:
+    """``read_embedding`` on a new pipe at ``path`` that ``content`` is
+    written to once: {"table": …} or {"error": the SerializationError}.  A
+    reader that opens the pipe a second time waits for a writer that has
+    gone; after 10 s it is released to read an empty pipe."""
+    os.mkfifo(path)
+    outcome = {}
+
+    def read():
+        try:
+            outcome["table"] = read_embedding(path)
+        except SerializationError as exc:
+            outcome["error"] = exc
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    path.write_bytes(content)
+    reader.join(timeout=10)
+    if reader.is_alive():
+        os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    return outcome
+
+
+def test_embedding_from_a_pipe_is_opened_once(tmp_path):
+    # the magic bytes are sniffed on the handle that is then read
+    outcome = read_from_pipe(tmp_path / "pipe", b"2 1\n0 1.5\n1 2.5\n")
+    assert outcome["table"].vectors.tolist() == [[1.5], [2.5]]
+
+
+def test_binary_from_a_pipe_is_refused(tmp_path):
+    # a pipe has no length to check against the header
+    source = tmp_path / "emb.bin"
+    write_embedding_binary(EmbeddingTable(vectors=np.array([[1.5], [2.5]])), source)
+    outcome = read_from_pipe(tmp_path / "pipe", source.read_bytes())
+    assert "must be a regular file" in str(outcome["error"])
+
+
 def test_checkpoint_round_trip(tmp_path):
     params = init_parameters(n=6, m=9, d1=3, d2=4, h=5, seed=21)
     path = tmp_path / "model.ckpt"
