@@ -4,7 +4,9 @@ Classification: random train/test splits at several ratios, a softmax
 (multinomial logistic regression) classifier with an L2 penalty solved by
 L-BFGS until its max |gradient| is at most ``LOGREG_TOLERANCE``, scored
 with Macro-F1.  Clustering: repeated k-means with k set to
-the ground-truth class count, scored with NMI and Purity.  A 2-component PCA
+the ground-truth class count, scored with NMI and Purity; the restarts of a
+run are seeded together and take their Lloyd steps together, and a step
+updates each cluster's sum from the points that moved.  A 2-component PCA
 projection is available for plotting.
 
 All entry points take explicit seeds and are deterministic.  The three
@@ -28,6 +30,9 @@ LOGREG_TOLERANCE = 1e-5
 LOGREG_MAX_ITERATIONS = 1000
 _LBFGS_MEMORY = 10
 _ARMIJO = 1e-4  # sufficient-decrease fraction of the backtracking line search
+# a Lloyd step that moves more than this share of n (restart, point) pairs
+# recomputes its cluster sums; a larger share raised `cluster`'s peak RSS
+_RECOMPUTE_ABOVE = 1 / 8
 
 
 @dataclass
@@ -364,6 +369,9 @@ def _squared_distances(points: np.ndarray, norms: np.ndarray, centers: np.ndarra
 
 
 def _kmeans_plus_plus(points: np.ndarray, norms: np.ndarray, k: int, rng) -> np.ndarray:
+    """One restart's k-means++ centres, one ``rng.choice`` per centre.
+    ``_seed_restarts`` falls back on it when a restart runs out of distinct
+    points."""
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(points.shape[0]))]
     closest = _squared_distances(points, norms, centers[:1]).ravel()
@@ -378,15 +386,60 @@ def _kmeans_plus_plus(points: np.ndarray, norms: np.ndarray, k: int, rng) -> np.
     return centers
 
 
+def _seed_restarts(points: np.ndarray, norms: np.ndarray, k: int, restarts: int,
+                   rng) -> np.ndarray:
+    """k-means++ centres (restarts, k, d) of every restart (Arthur &
+    Vassilvitskii, SODA 2007): the centres and random stream of
+    ``_kmeans_plus_plus`` run once per restart.
+
+    The draws come in that loop's order: each restart's first index, then
+    one uniform per further centre.  Each step then picks every restart's
+    next centre from one (restarts × d) @ (d × n) GEMM, by the inverse CDF
+    that ``Generator.choice`` draws with.  Where a restart's points all
+    coincide with its centres, that loop draws an index instead of a
+    uniform, so such a call rewinds the generator and seeds one restart at
+    a time.
+    """
+    n = points.shape[0]
+    state = rng.bit_generator.state
+    chosen = np.empty((restarts, k), dtype=np.intp)
+    uniforms = np.empty((restarts, k - 1))
+    for r in range(restarts):
+        chosen[r, 0] = rng.integers(n)
+        uniforms[r] = rng.random(k - 1)
+    closest = np.full((restarts, n), np.inf)
+    for c in range(1, k):
+        latest = _restart_distances(points, norms, points[chosen[:, c - 1], None])[:, 0]
+        np.minimum(closest, latest, out=closest)
+        total = closest.sum(axis=1)
+        if (total <= 0).any():
+            rng.bit_generator.state = state
+            return np.stack([_kmeans_plus_plus(points, norms, k, rng) for _ in range(restarts)])
+        chosen[:, c] = _inverse_cdf(closest / total[:, None], uniforms[:, c - 1])
+    return points[chosen]
+
+
+def _inverse_cdf(p: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Each row's index of the distribution ``p`` (rows, n) at its uniform,
+    the index ``Generator.choice(n, p=row)`` returns after it draws that
+    uniform: the cumulative sums, scaled to end at 1, searched from the
+    right."""
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.array([np.searchsorted(row, u, "right") for row, u in zip(cdf, uniforms)])
+
+
 def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed=0,
-           max_iter: int = 300) -> np.ndarray:
+           max_iter: int = 300, *, stats: list | None = None) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding; best of ``restarts`` by
     within-cluster sum of squares.  An emptied cluster is re-seeded at the
     point farthest from its assigned center.
 
-    All restarts are seeded first, then each Lloyd step moves every restart
-    whose assignment still changes, with one distance GEMM and one one-hot
-    centre GEMM for all of them.
+    All restarts are seeded together (``_seed_restarts``) and then run
+    their Lloyd steps together (``_lloyd``).  ``stats``, when given,
+    receives one (steps, recomputed, updated) tuple: each restart's Lloyd
+    steps, and how many steps recomputed the cluster sums and how many
+    updated them from the points that moved.
     """
     points = np.asarray(points, dtype=np.float64)
     if k < 1 or k > points.shape[0]:
@@ -395,24 +448,8 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed=0,
         raise ValueError("restarts must be at least 1")
     rng = np.random.default_rng(seed)
     norms = np.sum(points ** 2, axis=1)
-    centers = np.stack([_kmeans_plus_plus(points, norms, k, rng) for _ in range(restarts)])
-    assignments = np.full((restarts, points.shape[0]), -1)
-    active = np.arange(restarts)
-    for _ in range(max_iter):
-        d2 = _restart_distances(points, norms, centers[active])
-        new = _nearest(d2)
-        onehot = (new[:, None, :] == np.arange(k)[:, None]).astype(np.float64)
-        counts = onehot.sum(axis=2)
-        moved = (onehot.reshape(len(active) * k, -1) @ points).reshape(len(active), k, -1)
-        moved /= np.maximum(counts, 1.0)[:, :, None]
-        for a in np.flatnonzero(counts.min(axis=1) == 0):
-            _reseed_step(points, d2[a], new[a], moved[a])
-        centers[active] = moved
-        changed = (new != assignments[active]).any(axis=1)
-        assignments[active] = new
-        active = active[changed]
-        if not len(active):
-            break
+    centers = _seed_restarts(points, norms, k, restarts, rng)
+    assignments, _ = _lloyd(points, norms, centers, max_iter, stats)
     best_assignment = None
     best_wcss = np.inf
     for assignment in assignments:
@@ -421,6 +458,72 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 10, seed=0,
             best_wcss = wcss
             best_assignment = assignment
     return best_assignment
+
+
+def _lloyd(points: np.ndarray, norms: np.ndarray, centers: np.ndarray, max_iter: int,
+           stats: list | None = None):
+    """Lloyd steps from ``centers`` (restarts, k, d) until no assignment
+    changes, or for ``max_iter`` steps; returns the (restarts, n)
+    assignments and the centres each restart ended with.
+
+    Each step moves every restart whose assignment still changes.  It
+    assigns the points by one GEMM over those restarts (``_restart_scores``)
+    and keeps each cluster's sum of members and count.  When more than
+    ``_RECOMPUTE_ABOVE`` · n (restart, point) pairs moved, as on the first
+    step, the sums are one one-hot GEMM; otherwise one signed GEMM over
+    the moved points adds each to its new cluster and takes it from its
+    old one.  The centres are the sums over the counts.  A restart with an
+    emptied cluster goes through ``_reseed_step`` and has its sums
+    recomputed.
+    """
+    restarts, k, _ = centers.shape
+    n = points.shape[0]
+    assignments = np.full((restarts, n), -1)
+    final = np.empty_like(centers)
+    steps = np.zeros(restarts, dtype=np.intp)
+    recomputed = updated = 0
+    active = np.arange(restarts)
+    for _ in range(max_iter):
+        steps[active] += 1
+        new = _nearest(_restart_scores(points, centers))
+        old = assignments[active]
+        moved = new != old
+        rows, cols = np.nonzero(moved)
+        if len(rows) > _RECOMPUTE_ABOVE * n:  # always so on the first step, from -1
+            sums, counts = _cluster_sums(points, new, k)
+            recomputed += 1
+        else:
+            signed = np.zeros((len(active) * k, len(rows)))
+            signed[rows * k + new[rows, cols], np.arange(len(rows))] = 1.0
+            signed[rows * k + old[rows, cols], np.arange(len(rows))] = -1.0
+            sums += (signed @ points[cols]).reshape(sums.shape)
+            counts += signed.sum(axis=1).reshape(counts.shape)
+            updated += 1
+        means = sums / np.maximum(counts, 1.0)[:, :, None]
+        for a in np.flatnonzero(counts.min(axis=1) == 0):
+            d2 = _restart_distances(points, norms, centers[a:a + 1])[0]
+            _reseed_step(points, d2, new[a], means[a])
+            sums[a:a + 1], counts[a:a + 1] = _cluster_sums(points, new[a:a + 1], k)
+            moved[a] = new[a] != old[a]
+        assignments[active] = new
+        keep = moved.any(axis=1)
+        final[active[~keep]] = means[~keep]
+        active, centers, sums, counts = active[keep], means[keep], sums[keep], counts[keep]
+        if not len(active):
+            break
+    final[active] = centers
+    if stats is not None:
+        stats.append((tuple(steps.tolist()), recomputed, updated))
+    return assignments, final
+
+
+def _cluster_sums(points: np.ndarray, assignments: np.ndarray, k: int):
+    """Each cluster's sum of members (restarts, k, d) and count (restarts, k)
+    under ``assignments`` (restarts, n), by one one-hot GEMM."""
+    onehot = (assignments[:, None, :] == np.arange(k)[:, None]).astype(np.float64)
+    counts = onehot.sum(axis=2)
+    sums = onehot.reshape(-1, len(points)) @ points
+    return sums.reshape(len(assignments), k, -1), counts
 
 
 def _nearest(d2: np.ndarray) -> np.ndarray:
@@ -432,6 +535,16 @@ def _nearest(d2: np.ndarray) -> np.ndarray:
     hit |= np.isnan(d2)
     rank = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]  # class c ranks k - c
     return k - (hit * rank).max(axis=1).astype(np.intp)
+
+
+def _restart_scores(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """|c|² − 2 c·x (restarts, k, n) for each of ``centers`` (restarts, k, d)
+    and each point: the squared distance less the point's own |x|², so the
+    same nearest centre."""
+    r, k, d = centers.shape
+    scores = ((-2.0 * centers.reshape(r * k, d)) @ points.T).reshape(r, k, -1)
+    scores += np.sum(centers ** 2, axis=2)[:, :, None]
+    return scores
 
 
 def _restart_distances(points: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -583,7 +696,9 @@ def run_clustering_eval(features: np.ndarray, labels: np.ndarray, k: int | None 
     """Repeated k-means scored against the labels with NMI and purity.
 
     k defaults to the number of distinct labels.  Metrics are averaged over
-    ``runs`` independently seeded executions.
+    ``runs`` independently seeded executions.  One INFO line gives the
+    restarts' range of Lloyd steps and how many steps recomputed or
+    updated the cluster sums.
     """
     if runs < 1:
         raise ValueError(f"runs (--repeats) must be at least 1, not {runs}")
@@ -595,12 +710,16 @@ def run_clustering_eval(features: np.ndarray, labels: np.ndarray, k: int | None 
     lab = labels[mask]
     if k is None:
         k = len(np.unique(lab))
-    nmis, purities = [], []
+    nmis, purities, stats = [], [], []
     for run in range(runs):
         assignment = kmeans(pts, k, restarts=restarts,
-                            seed=np.random.SeedSequence((seed, run)))
+                            seed=np.random.SeedSequence((seed, run)), stats=stats)
         nmis.append(nmi(assignment, lab))
         purities.append(purity(assignment, lab))
+    steps = [s for restart_steps, _, _ in stats for s in restart_steps]
+    log.info("cluster k=%d: %d runs of %d restarts took %d-%d Lloyd steps; cluster sums "
+             "recomputed in %d steps, updated in %d", k, runs, restarts, min(steps), max(steps),
+             sum(s[1] for s in stats), sum(s[2] for s in stats))
     return EvalReport(
         runs=runs,
         nmi_mean=float(np.mean(nmis)),

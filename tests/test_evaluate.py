@@ -301,9 +301,11 @@ class TestKmeans:
 
 
 class TestBatchedKmeansMatchesPerRestartLoop:
-    """``kmeans`` moves all restarts together; ``naive_kmeans`` is the
-    one-restart-at-a-time loop it replaced.  The inputs keep clear of
-    distance near-ties, so rounding in the GEMMs cannot flip a choice."""
+    """``kmeans`` moves all restarts together and carries each cluster's sum
+    from step to step; ``naive_kmeans`` is the one-restart-at-a-time loop
+    with fresh means that it replaced.  Exact ties go to the lowest class in
+    both.  A near-tie could round differently in the two; none of these
+    inputs holds one."""
 
     def test_blobs(self, rng):
         X, _ = blobs(rng, [(-6.0, 0.0), (6.0, 1.0), (0.0, 7.0), (1.0, -6.0)], per_class=15,
@@ -338,6 +340,148 @@ class TestBatchedKmeansMatchesPerRestartLoop:
         X = rng.normal(size=(40, 3))
         assert np.array_equal(kmeans(X, 5, restarts=4, seed=3, max_iter=1),
                               naive_kmeans(X, 5, restarts=4, seed=3, max_iter=1))
+
+    def test_sums_recomputed_and_updated(self, rng):
+        X, _ = blobs(rng, [(-2.0, 0.0), (2.0, 0.0), (0.0, 2.5)], per_class=80, scale=1.2)
+        for seed in range(3):
+            stats = []
+            assert np.array_equal(kmeans(X, 3, restarts=6, seed=seed, stats=stats),
+                                  naive_kmeans(X, 3, restarts=6, seed=seed))
+            (steps, recomputed, updated), = stats
+            assert len(steps) == 6 and recomputed + updated == max(steps)
+            assert recomputed >= 2 and updated >= 1  # a recompute after the first step too
+
+    @pytest.mark.parametrize("kind", ["integers", "duplicates"])
+    def test_integer_and_tied_inputs(self, kind):
+        for seed in range(40):
+            gen = np.random.default_rng(seed)
+            if kind == "integers":
+                X = gen.integers(0, 4, size=(60, 2)).astype(np.float64)
+            else:
+                X = np.repeat(gen.normal(size=(15, 3)), 4, axis=0)
+            k = 1 + seed % 6
+            assert np.array_equal(kmeans(X, k, restarts=4, seed=seed),
+                                  naive_kmeans(X, k, restarts=4, seed=seed))
+
+    def test_k_one(self, rng):
+        X = rng.normal(size=(50, 3))
+        stats = []
+        assignment = kmeans(X, 1, restarts=3, seed=0, stats=stats)
+        assert np.array_equal(assignment, np.zeros(50))
+        assert np.array_equal(assignment, naive_kmeans(X, 1, restarts=3, seed=0))
+        assert stats == [((2, 2, 2), 1, 1)]  # the second step moves nothing
+
+    def test_many_restarts_small_late_moves(self, rng):
+        X, _ = blobs(rng, [tuple(rng.normal(size=4) * 1.5) for _ in range(8)], per_class=150)
+        stats = []
+        assert np.array_equal(kmeans(X, 8, restarts=30, seed=3, stats=stats),
+                              naive_kmeans(X, 8, restarts=30, seed=3))
+        (steps, recomputed, updated), = stats
+        assert len(steps) == 30 and updated > recomputed
+
+    def test_centres_stay_fresh_means(self, rng):
+        # the carried sums drift only by rounding: the centres each restart
+        # ends with are its clusters' fresh means to 1e-12 relative
+        X = rng.normal(size=(900, 5)) + rng.normal(size=5) * 10
+        norms = np.sum(X ** 2, axis=1)
+        centers = evaluate._seed_restarts(X, norms, 6, 10, np.random.default_rng(0))
+        stats = []
+        assignments, final = evaluate._lloyd(X, norms, centers, 300, stats)
+        assert stats[0][2] > 0
+        assert_fresh_means(X, assignments, final)
+
+    def test_reseeded_restart_sums_recomputed(self, monkeypatch):
+        # fewer distinct points than clusters: seeding repeats a point, a
+        # cluster empties, and later steps update the sums of the
+        # re-seeded assignment
+        reseeds = []
+        real = evaluate._reseed_step
+        monkeypatch.setattr(evaluate, "_reseed_step",
+                            lambda *args: (reseeds.append(args), real(*args)))
+        for seed in range(30):
+            gen = np.random.default_rng(seed)
+            clumps = int(gen.integers(2, 5))
+            X = np.repeat(gen.normal(size=(clumps, 2)), int(gen.integers(5, 20)), axis=0)
+            norms = np.sum(X ** 2, axis=1)
+            centers = evaluate._seed_restarts(X, norms, clumps + 1, 3, gen)
+            assert_fresh_means(X, *evaluate._lloyd(X, norms, centers, 300))
+        assert reseeds
+
+
+def assert_fresh_means(points, assignments, centers):
+    """Each restart's centres are its clusters' fresh means to 1e-12 relative."""
+    for assignment, ends in zip(assignments, centers):
+        for c, centre in enumerate(ends):
+            mean = points[assignment == c].mean(axis=0)
+            assert np.abs(centre - mean).max() <= 1e-12 * np.abs(mean).max()
+
+
+class TestKmeansSeeding:
+    """``_seed_restarts`` seeds every restart at once; ``_kmeans_plus_plus``
+    run once per restart is the sequential seeding it must reproduce."""
+
+    def sequential(self, X, k, restarts, rng):
+        norms = np.sum(X ** 2, axis=1)
+        return np.stack([evaluate._kmeans_plus_plus(X, norms, k, rng) for _ in range(restarts)])
+
+    def test_stacked_matches_sequential(self, rng, monkeypatch):
+        cases = [(rng.normal(size=(int(rng.integers(8, 300)), int(rng.integers(1, 6)))),
+                  int(rng.integers(1, 8)), int(rng.integers(1, 12))) for _ in range(30)]
+        expected = []
+        for trial, (X, k, restarts) in enumerate(cases):
+            gen = np.random.default_rng(trial)
+            expected.append((self.sequential(X, k, restarts, gen), gen.bit_generator.state))
+
+        def sequential_seeding(*args):
+            raise AssertionError("distinct points took the one-restart path")
+
+        monkeypatch.setattr(evaluate, "_kmeans_plus_plus", sequential_seeding)
+        for trial, ((X, k, restarts), (centers, state)) in enumerate(zip(cases, expected)):
+            gen = np.random.default_rng(trial)
+            stacked = evaluate._seed_restarts(X, np.sum(X ** 2, axis=1), k, restarts, gen)
+            assert np.array_equal(stacked, centers)
+            assert gen.bit_generator.state == state
+
+    def test_too_few_distinct_points_rewinds(self, monkeypatch):
+        X = np.array([[0.0, 0.0]] * 5 + [[1.0, 2.0]] * 4)
+        calls = []
+        real = evaluate._kmeans_plus_plus
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for seed in range(5):
+            gen = np.random.default_rng(seed)
+            centers, state = self.sequential(X, 3, 4, gen), gen.bit_generator.state
+            monkeypatch.setattr(evaluate, "_kmeans_plus_plus", counted)
+            gen = np.random.default_rng(seed)
+            stacked = evaluate._seed_restarts(X, np.sum(X ** 2, axis=1), 3, 4, gen)
+            monkeypatch.setattr(evaluate, "_kmeans_plus_plus", real)
+            assert np.array_equal(stacked, centers)
+            assert gen.bit_generator.state == state
+        assert len(calls) == 5 * 4
+
+    def test_inverse_cdf_is_generator_choice(self):
+        # pins the draw to numpy's own: a numpy that changes how
+        # Generator.choice draws with p fails here
+        for trial in range(500):
+            gen = np.random.default_rng(trial)
+            n = int(gen.integers(1, 400))
+            p = gen.random(n) ** int(gen.integers(1, 6))
+            p[gen.random(n) < 0.3] = 0.0
+            p[int(gen.integers(n))] += 0.5
+            p /= p.sum()
+            choice, inverse = (np.random.default_rng((trial, 1)) for _ in range(2))
+            expected = int(choice.choice(n, p=p))
+            assert evaluate._inverse_cdf(p[None], np.array([inverse.random()]))[0] == expected
+            assert inverse.bit_generator.state == choice.bit_generator.state
+
+    def test_inverse_cdf_edges(self):
+        # a uniform on a step of the CDF passes over the zero-weight index
+        assert evaluate._inverse_cdf(np.array([[0.5, 0.0, 0.5]]), np.array([0.5]))[0] == 2
+        # ten 0.1s sum to 1 - 2**-53; the largest uniform still takes the last index
+        assert evaluate._inverse_cdf(np.full((1, 10), 0.1), np.array([1 - 2.0 ** -53]))[0] == 9
 
 
 class TestClusterMetrics:
@@ -468,13 +612,24 @@ class TestReports:
             report = run_classification_eval(X, mapped, ratios=(0.3, 0.5), repeats=3, seed=2)
             assert report.macro_f1_runs == base.macro_f1_runs
 
-    def test_clustering_report(self, rng):
+    def test_clustering_report(self, rng, caplog):
         X, y = blobs(rng, [(-8.0, 0.0), (8.0, 0.0), (0.0, 9.0)], per_class=20)
-        report = run_clustering_eval(X, y, runs=5, restarts=3, seed=4)
+        with caplog.at_level("INFO", logger="neuralbrane.evaluate"):
+            report = run_clustering_eval(X, y, runs=5, restarts=3, seed=4)
         assert report.clusters == 3
         assert report.nmi_mean == pytest.approx(1.0, abs=1e-6)
         assert report.purity_mean == pytest.approx(1.0, abs=1e-6)
         assert report.purity_mean >= 1.0 / report.clusters
+        # one line: the restarts' Lloyd step range and the sums' step counts,
+        # as the runs' own kmeans stats give them
+        stats = []
+        for run in range(5):
+            kmeans(X, 3, restarts=3, seed=np.random.SeedSequence((4, run)), stats=stats)
+        steps = [s for restart_steps, _, _ in stats for s in restart_steps]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"cluster k=3: 5 runs of 3 restarts took {min(steps)}-{max(steps)} Lloyd steps; "
+            f"cluster sums recomputed in {sum(s[1] for s in stats)} steps, "
+            f"updated in {sum(s[2] for s in stats)}"]
 
     def test_report_csv(self, rng):
         import io
