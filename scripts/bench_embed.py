@@ -15,11 +15,10 @@ wall time, CPU time and peak RSS.
 Each round runs both trees twice: once with no bytecode cache for the
 package (its ``__pycache__`` is deleted and ``PYTHONDONTWRITEBYTECODE`` set)
 and once with one (written by ``compileall`` before the run).  The trees
-take turns, and the tree that goes first alternates from round to round, so
-drift of the host falls on both alike.  Round r names its output file with 1 + r % 20
-characters, so 20 rounds try every name length from 1 to 20; the peak RSS
-of each run is kept with its name length, to show whether the peak moves
-with the path.
+take turns as ``benchlib.alternate`` sets out.  Round r names its output
+file with 1 + r % 20 characters, so 20 rounds try every name length from 1
+to 20; the peak RSS of each run is kept with its name length, to show
+whether the peak moves with the path.
 
 Both trees must write identical embedding files (compared by digest).  The
 output file holds, per tree and bytecode-cache state, the median and
@@ -27,11 +26,7 @@ quartiles of each measure, the peak RSS of every name length, and how many
 rounds the change was faster or smaller than the parent.
 """
 
-import argparse
 import hashlib
-import json
-import os
-import platform
 import shutil
 import subprocess
 import sys
@@ -40,19 +35,18 @@ from pathlib import Path
 
 import numpy as np
 
+import benchlib
 from benchlib import summary
 
-ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD = "large-embed"
 MEASURES = ("wall_s", "cpu_s", "peak_rss_mb")
 CACHE_STATES = {"no_bytecode_cache": False, "bytecode_cache": True}
 
 
-def run_embed(tree: Path, files: dict, out: Path, cached: bool) -> dict:
-    """One ``embed`` run of ``tree``'s package: launch.py's measures and a
-    digest of the file it wrote."""
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               NEURAL_BRANE_LOG="warn", PYTHONPATH=str(tree / "src"))
+def run_embed(tree: Path, embed: list, out: Path, cached: bool) -> dict:
+    """One run of ``tree``'s ``embed`` command (``embed`` less its ``--out``)
+    into ``out``: launch.py's measures and a digest of the file it wrote."""
+    env = benchlib.env(tree)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     package = tree / "src" / "neuralbrane"
     if cached:
@@ -60,45 +54,22 @@ def run_embed(tree: Path, files: dict, out: Path, cached: bool) -> dict:
     else:
         shutil.rmtree(package / "__pycache__", ignore_errors=True)
         env["PYTHONDONTWRITEBYTECODE"] = "1"
-    logs = out.parent
-    command = [sys.executable, "-m", "neuralbrane.cli", "embed",
-               "--edges", files["edges"], "--attr-file", files["attrs"],
-               "--nodes", str(files["nodes"]), "--attrs", str(files["attributes"]),
-               "--checkpoint", files["checkpoint"], "--export-layer", "h",
-               "--emb-format", "text", "--pooling", "max", "--threads", "1", "--out", str(out)]
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "launch.py"), "300", str(logs / "stdout"),
-         str(logs / "stderr"), "--", *command],
-        env=env, capture_output=True, text=True, check=True)
-    measured = json.loads(done.stdout)
-    if measured["exit"] != 0:
-        raise SystemExit(f"{tree}: embed exited {measured['exit']}: "
-                         + (logs / "stderr").read_text())
+    measured = benchlib.run_cli(tree, [*embed, "--out", out], out.parent, env)
     measured["digest"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    measured["name_length"] = len(out.name)
     out.unlink()
     return measured
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
-    parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_embed.json")
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    args = benchlib.parse_args(__doc__, "rounds", 20, seed=7, out="BENCH_embed.json", argv=argv)
     import inputs
-    from workloads import WORKLOADS
+    from workloads import WORKLOADS, commands
 
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    trees = args.trees
     spec = WORKLOADS[WORKLOAD].specs["full"]
     report = {
-        "command": "python scripts/bench_embed.py PARENT CHANGE "
-                   f"--rounds {args.rounds} --seed {args.seed}",
-        "host": {"python": platform.python_version(), "numpy": np.__version__,
-                 "cpus": os.cpu_count(), "blas_threads": 1},
+        **benchlib.head(__file__, args),
         "inputs": {"workload": WORKLOAD, "seed": args.seed, "nodes": spec.nodes,
                    "edges": spec.edges, "attributes": spec.attrs,
                    "attributes_per_node": spec.attrs_per_node},
@@ -108,32 +79,25 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         directory = Path(scratch) / "inputs"
         inputs.generate(spec, args.seed, directory)
-        files = {"edges": str(directory / "edges.txt"), "attrs": str(directory / "attrs.txt"),
-                 "checkpoint": str(directory / "model.ckpt"), "nodes": spec.nodes,
-                 "attributes": spec.attrs}
         outputs = Path(scratch) / "out"
         outputs.mkdir()
-        runs = {(state, t): [] for state in CACHE_STATES for t in trees}
-        for r in range(args.rounds):
-            name = "e" * (1 + r % 20)
-            order = list(trees) if r % 2 == 0 else list(trees)[::-1]
-            for state, cached in CACHE_STATES.items():
-                for t in order:
-                    run = run_embed(trees[t], files, outputs / name, cached)
-                    run["name_length"] = len(name)
-                    runs[state, t].append(run)
-            print(f"round {r}: " + "  ".join(
-                f"{state} {t} {runs[state, t][-1]['wall_s']:.2f} s "
-                f"{runs[state, t][-1]['peak_rss_mb']:.1f} MB"
-                for state in CACHE_STATES for t in order), flush=True)
-    digests = {run["digest"] for rs in runs.values() for run in rs}
-    if len(digests) != 1:
+        [(_, argv)] = commands(WORKLOADS[WORKLOAD], spec, directory, outputs, args.seed)
+        assert argv[-2] == "--out"
+        runs = benchlib.alternate(
+            args.rounds, trees,
+            lambda t, r: {state: run_embed(trees[t], argv[:-2], outputs / ("e" * (1 + r % 20)),
+                                           cached) for state, cached in CACHE_STATES.items()},
+            lambda r, runs: print(f"round {r}: " + "  ".join(
+                f"{state} {t} {runs[t][-1][state]['wall_s']:.2f} s "
+                f"{runs[t][-1][state]['peak_rss_mb']:.1f} MB"
+                for state in CACHE_STATES for t in trees), flush=True))
+    if len({run[state]["digest"] for rs in runs.values() for run in rs
+            for state in CACHE_STATES}) != 1:
         raise SystemExit("the trees wrote different embedding files")
     for state in CACHE_STATES:
-        parent, change = runs[state, "parent"], runs[state, "change"]
+        by_tree = {t: [run[state] for run in runs[t]] for t in trees}
         entry = {}
-        for t in trees:
-            rs = runs[state, t]
+        for t, rs in by_tree.items():
             by_length = {}
             for run in rs:
                 by_length.setdefault(run["name_length"], []).append(run["peak_rss_mb"])
@@ -144,13 +108,10 @@ def main(argv=None) -> int:
                     str(k): round(float(np.median(v)), 2) for k, v in sorted(by_length.items())},
                 "peak_rss_mb_range": round(max(peaks) - min(peaks), 2),
             }
-        entry["change_faster_rounds"] = sum(c["wall_s"] < p["wall_s"]
-                                            for p, c in zip(parent, change))
-        entry["change_smaller_rounds"] = sum(c["peak_rss_mb"] < p["peak_rss_mb"]
-                                             for p, c in zip(parent, change))
+        entry["change_faster_rounds"] = benchlib.faster(*by_tree.values(), "wall_s")
+        entry["change_smaller_rounds"] = benchlib.faster(*by_tree.values(), "peak_rss_mb")
         report["states"][state] = entry
-    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {args.out}")
+    benchlib.write(args.out, report)
     return 0
 
 

@@ -15,6 +15,9 @@ from pathlib import Path
 
 
 def main(argv):
+    if argv[1:] in (["-h"], ["--help"]):
+        print(__doc__)
+        return 0
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 1

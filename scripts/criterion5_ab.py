@@ -10,10 +10,11 @@ loaded side by side under their own names.  Every point of criterion 5a
 gate's own code in ``tests/criterion5.py``, from this checkout: the same
 graphs and configs, and the minimum over epochs 1-3 of two training runs.
 The trees take turns point by point, and the tree that goes first
-alternates, so drift of the host falls on both alike.  Each round prints
-both trees' per-point minima, log-log slopes and R^2, and whether the gate
-would pass; the end prints the median slopes and, per point, both medians
-and the parent's interquartile range.
+alternates from point to point and, at each point, from round to round, so
+drift of the host falls on both alike.  Each round prints both trees'
+per-point minima, log-log slopes and R^2, and whether the gate would pass;
+the end prints the median slopes and, per point, both medians and the
+parent's interquartile range.
 """
 
 import argparse
@@ -23,7 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from benchlib import ROOT, alternate
+
+sys.path.insert(0, str(ROOT))
 from tests.criterion5 import POINTS, min_epoch_seconds, passes  # noqa: E402
 from tests.oracles import fit_loglog_slope  # noqa: E402
 
@@ -51,15 +54,11 @@ def main(argv=None) -> int:
         importlib.import_module(f"{package.__name__}.synthetic")
 
     times = {(c, t): [] for c in POINTS for t in trees}  # per round: one time per point
-    turn = 0
     for r in range(args.rounds):
+        sides = trees if r % 2 == 0 else dict(reversed(trees.items()))
         for criterion, points in POINTS.items():
-            row = {t: [] for t in trees}
-            for _, graph_kwargs, cfg_kwargs in points:
-                order = list(trees) if turn % 2 == 0 else list(trees)[::-1]
-                turn += 1
-                for t in order:
-                    row[t].append(min_epoch_seconds(trees[t], graph_kwargs, cfg_kwargs))
+            row = alternate(len(points), sides,
+                            lambda t, k: min_epoch_seconds(trees[t], *points[k][1:]))
             x = [p[0] for p in points]
             for t in trees:
                 times[criterion, t].append(row[t])

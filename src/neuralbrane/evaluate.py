@@ -361,20 +361,13 @@ def within_cluster_ss(points: np.ndarray, assignment: np.ndarray) -> float:
     return total
 
 
-def _squared_distances(points: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances from each point to each center; ``norms`` holds the
-    points' squared norms."""
-    d2 = norms[:, None] - 2.0 * points @ centers.T + np.sum(centers ** 2, axis=1)[None, :]
-    return np.maximum(d2, 0.0)
-
-
 def _kmeans_plus_plus(points: np.ndarray, norms: np.ndarray, k: int, rng) -> np.ndarray:
     """One restart's k-means++ centres, one ``rng.choice`` per centre.
     ``_seed_restarts`` falls back on it when a restart runs out of distinct
     points."""
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(points.shape[0]))]
-    closest = _squared_distances(points, norms, centers[:1]).ravel()
+    closest = _restart_distances(points, norms, centers[None, :1])[0, 0]
     for c in range(1, k):
         total = closest.sum()
         if total <= 0:  # all points coincide with chosen centers
@@ -382,7 +375,8 @@ def _kmeans_plus_plus(points: np.ndarray, norms: np.ndarray, k: int, rng) -> np.
             continue
         idx = int(rng.choice(points.shape[0], p=closest / total))
         centers[c] = points[idx]
-        closest = np.minimum(closest, _squared_distances(points, norms, centers[c:c + 1]).ravel())
+        latest = _restart_distances(points, norms, centers[None, c:c + 1])[0, 0]
+        closest = np.minimum(closest, latest)
     return centers
 
 
@@ -549,7 +543,8 @@ def _restart_scores(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def _restart_distances(points: np.ndarray, norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distances (restarts, k, n) from each of ``centers``
-    (restarts, k, d) to each point, by the formula of ``_squared_distances``."""
+    (restarts, k, d) to each point, whose squared norms ``norms`` holds:
+    |c|² − 2 c·x + |x|², clipped at 0."""
     r, k, d = centers.shape
     d2 = (-2.0 * centers.reshape(r * k, d)) @ points.T
     d2 += norms
