@@ -10,8 +10,9 @@ named by ``--config``; the key is the flag's name (``lr``, ``batch-size``) or
 its destination (``learning_rate``, ``batch_size``).  Flags on the command
 line win over file values, wherever they stand.  The environment variable
 ``NEURAL_BRANE_LOG`` (debug|info|warn) controls verbosity.  Exit codes:
-0 success, 1 user or input error (a non-finite or out-of-range hyperparameter
-and a diverging training run included), 2 internal error.
+0 success, 1 user or input error (a non-finite or out-of-range hyperparameter,
+a diverging training run and sizes the host has no memory for included), 2
+internal error.
 """
 
 from __future__ import annotations
@@ -348,6 +349,9 @@ def main(argv=None) -> int:
     except (GraphFormatError, SamplingError, SerializationError, TrainingDivergedError,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # sizes come from the ids, --nodes, --attrs, --d1, --d2, --hidden
+        print("error: not enough memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

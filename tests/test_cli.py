@@ -467,6 +467,47 @@ class TestExitCodes:
         assert f"error: {path}:{lineno}: {problem}" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("file, flag", [
+        (0, None), (1, None), (None, "--hidden"), (None, "--nodes"), (None, "--d1"),
+    ], ids=["edges", "attributes", "hidden", "nodes", "d1"])
+    def test_size_past_memory_is_user_error(self, toy_files, tmp_path, capsys, monkeypatch,
+                                            file, flag):
+        # an id or size option of 4e9 asks the allocator for tens of GiB; the
+        # first large allocation of each case (the label table, or a
+        # parameter matrix) is patched to fail as numpy's does, before it
+        # allocates anything
+        import neuralbrane.trainer as trainer
+        full, init = np.full, trainer.init_parameters
+
+        def refuse(shape):
+            if np.prod(shape, dtype=float) > 2**28:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        def patched_full(shape, *args, **kwargs):
+            refuse(shape if np.ndim(shape) else (shape,))
+            return full(shape, *args, **kwargs)
+
+        def patched_init(n, m, d1, d2, h, seed=0):
+            for shape in ((m, d1), (n, d2), (h, d1 + d2)):
+                refuse(shape)
+            return init(n, m, d1, d2, h, seed)
+
+        monkeypatch.setattr(np, "full", patched_full)
+        monkeypatch.setattr(trainer, "init_parameters", patched_init)
+        extra = ["--epochs", "1"]
+        if file is None:
+            extra += [flag, "4000000000"]
+        else:
+            with open(toy_files[file], "a") as fh:
+                fh.write("0 4000000000\n")
+        assert main(train_args(toy_files, tmp_path / "x", extra)) == 1
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith(("error", "internal"))]
+        assert len(lines) == 1 and lines[0].startswith(
+            "error: not enough memory: Unable to allocate an array with shape"), err
+        assert re.search(r"\b400000000[01]\b", lines[0]) and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command, file", [
         ("train", 0), ("train", 1), ("train", 2), ("evaluate", 0), ("evaluate", 1),
     ], ids=["edges", "attributes", "labels", "embedding", "evaluate-labels"])

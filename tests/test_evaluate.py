@@ -203,13 +203,16 @@ class TestStackedTrainerMatchesPerFitLoop:
 
     def test_fit_already_at_its_optimum_stops_at_once(self):
         # balanced classes on identical rows: zero weights have zero gradient,
-        # so the first step's length 1 / max(1, ‖gradient‖) must not divide by 0
+        # so the first step's length 1 / max(1, ‖gradient‖) must not divide by
+        # 0; nor may the change of variables, whose covariance is 0, without
+        # a penalty as well
         X = np.ones((8, 2))
         y = np.arange(8) % 2
-        stats = []
-        with np.errstate(all="raise"):
-            weights = train_linear_classifier(X, y, 2, stats=stats)
-        assert stats == [(1, 0.0)] and not weights.any()
+        for penalty in (evaluate.LOGREG_PENALTY, 0.0):
+            stats = []
+            with np.errstate(all="raise"):
+                weights = train_linear_classifier(X, y, 2, penalty=penalty, stats=stats)
+            assert stats == [(1, 0.0)] and not weights.any()
 
     def test_one_fit_going_non_finite_raises(self, rng):
         X = rng.normal(size=(30, 3))
@@ -235,6 +238,57 @@ class TestStackedTrainerMatchesPerFitLoop:
         assert stacked.shape == (3, 50)
         for w, row in zip(weights, stacked):
             assert np.array_equal(predict_linear(w, X), row)
+
+
+def identity_preconditioner(features, centre, penalty):
+    return np.eye(len(centre))
+
+
+class TestPreconditionedSolve:
+    """``train_linear_classifier`` solves for V, with W = V·Tᵀ and T from the
+    rows' covariance (``_preconditioner``), while its objective and stopping
+    test stay in W.  Checked against the same solve with T = I."""
+
+    @pytest.mark.parametrize("penalty", [0.0, 1e-4])
+    def test_same_optimum_as_the_identity(self, rng, monkeypatch, penalty):
+        # overlapping classes over features of unequal spread and correlated
+        # through the class means
+        X = rng.normal(size=(240, 5)) * [0.3, 1.0, 2.0, 0.5, 4.0] + 0.8
+        X += np.repeat(rng.normal(size=(4, 5)), 60, axis=0)
+        y = np.repeat(np.arange(4), 60)
+        train = rng.random((6, 240)) < np.linspace(0.3, 0.9, 6)[:, None]
+        solves = [train_linear_classifier(X, y, 4, train=train, penalty=penalty)]
+        monkeypatch.setattr(evaluate, "_preconditioner", identity_preconditioner)
+        solves.append(train_linear_classifier(X, y, 4, train=train, penalty=penalty))
+        for fit, got, plain in zip(train, *solves):
+            (f_got, g_got), (f_plain, g_plain) = (objective(w, X[fit], y[fit], 4, penalty)
+                                                  for w in (got, plain))
+            assert np.max(np.abs(g_got)) <= evaluate.LOGREG_TOLERANCE
+            assert np.max(np.abs(g_plain)) <= evaluate.LOGREG_TOLERANCE
+            # the objective is convex, so each gradient bounds the difference
+            assert abs(f_got - f_plain) <= max(np.sum(g_got * (got - plain)),
+                                               np.sum(g_plain * (plain - got)))
+
+    def test_pays_on_a_badly_scaled_column(self, rng, monkeypatch):
+        X = rng.normal(size=(300, 3)) + np.repeat(rng.normal(size=(3, 3)) * 0.1, 100, axis=0)
+        X[:, 1] *= 1e3
+        y = np.repeat(np.arange(3), 100)
+        train = rng.random((4, 300)) < 0.6
+        iterations = []
+        for preconditioner in (evaluate._preconditioner, identity_preconditioner):
+            monkeypatch.setattr(evaluate, "_preconditioner", preconditioner)
+            stats = []
+            weights = train_linear_classifier(X, y, 3, train=train, penalty=1e-2, stats=stats)
+            for fit, w in zip(train, weights):
+                grad = objective(w, X[fit], y[fit], 3, 1e-2)[1]
+                assert np.max(np.abs(grad)) <= evaluate.LOGREG_TOLERANCE
+            iterations.append([count for count, _ in stats])
+        # about 1.9 times as many in all; more is not to be had at this scale,
+        # where a max |gradient| of 1e-5 on the wide column is near the
+        # loss's rounding, and either solve ends up halving steps
+        preconditioned, identity = iterations
+        assert max(preconditioned) < min(identity)
+        assert sum(identity) >= 1.5 * sum(preconditioned), iterations
 
 
 class TestMacroF1:
